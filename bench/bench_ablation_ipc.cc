@@ -38,15 +38,14 @@ void BM_MpmcRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_MpmcRoundTrip);
 
 void BM_QueuePairSubmitComplete(benchmark::State& state) {
-  ipc::QueuePair qp(1, ipc::QueueKind::kPrimary, true, 1024,
-                    ipc::Credentials{1, 0, 0});
+  ipc::QueuePair qp(1, 1024, ipc::Credentials{1, 0, 0});
   ipc::Request req;
   for (auto _ : state) {
     qp.Submit(&req);
     auto polled = qp.PollSubmission();
     benchmark::DoNotOptimize(polled);
-    qp.Complete(*polled);
-    benchmark::DoNotOptimize(qp.PollCompletion());
+    (*polled)->Complete(StatusCode::kOk);
+    benchmark::DoNotOptimize(req.IsDone());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -55,8 +54,7 @@ BENCHMARK(BM_QueuePairSubmitComplete);
 // Cross-thread ping-pong: one "client" and one polling "worker" — the
 // real-mode latency floor of the LabStor async path on this machine.
 void BM_QueuePairCrossThread(benchmark::State& state) {
-  ipc::QueuePair qp(1, ipc::QueueKind::kPrimary, true, 1024,
-                    ipc::Credentials{1, 0, 0});
+  ipc::QueuePair qp(1, 1024, ipc::Credentials{1, 0, 0});
   std::atomic<bool> stop{false};
   std::thread worker([&] {
     while (!stop.load(std::memory_order_acquire)) {

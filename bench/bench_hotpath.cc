@@ -83,6 +83,10 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+// GCC pairs the inlined malloc-backed operator new with these frees
+// and reports a mismatch that isn't one.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -95,6 +99,7 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 #endif  // LABSTOR_COUNT_ALLOCS
 
 namespace labstor::bench {
@@ -276,10 +281,6 @@ PhaseResult ThroughputPhase() {
       ++completed;
       if (measuring) ++measured_done;
       submit(r);
-    }
-    // Reap the completion ring so it never fills (the worker-side push
-    // is the half of the protocol this phase exercises).
-    while (qp->PollCompletion().has_value()) {
     }
   }
   const uint64_t elapsed = NowNs() - t0;

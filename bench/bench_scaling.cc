@@ -157,12 +157,10 @@ SweepPoint RunSweepPoint(size_t workers, size_t per_queue) {
   SweepPoint point;
   point.workers = workers;
   point.requests = total;
-  uint64_t sum = 0;
-  for (const sim::Time lat : rec->latencies) sum += lat;
-  point.mean_ns = static_cast<double>(sum) / static_cast<double>(total);
-  std::sort(rec->latencies.begin(), rec->latencies.end());
-  point.p99_ns = static_cast<double>(
-      rec->latencies[std::min(total - 1, (total * 99) / 100)]);
+  const TailStats tail = Summarize(
+      std::vector<double>(rec->latencies.begin(), rec->latencies.end()));
+  point.mean_ns = tail.mean;
+  point.p99_ns = tail.p99;
 
   // Wall cost of one dynamic epoch pass at this queue/worker scale.
   core::DynamicOrchestrator dynamic;

@@ -103,9 +103,9 @@ dag:
                 labfs->file_count(),
                 static_cast<unsigned long long>(labfs->allocator_free_blocks()));
   }
-  std::printf("runtime processed %llu requests (metadata only — data ops "
-              "bypassed it)\n",
-              static_cast<unsigned long long>(runtime.requests_processed()));
+  std::printf("clients submitted %llu requests to runtime workers "
+              "(metadata only — data ops ran inline)\n",
+              static_cast<unsigned long long>(runtime.doorbell_rings()));
   (void)runtime.Stop();
   std::printf("decentralized io OK\n");
   return 0;

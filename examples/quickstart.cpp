@@ -95,8 +95,9 @@ dag:
               static_cast<unsigned long long>(size.value_or(0)));
   (void)fs.Close(*fd);
 
-  std::printf("runtime processed %llu requests; device wrote %llu bytes\n",
-              static_cast<unsigned long long>(runtime.requests_processed()),
+  std::printf("clients rang the runtime doorbell %llu times; device wrote "
+              "%llu bytes\n",
+              static_cast<unsigned long long>(runtime.doorbell_rings()),
               static_cast<unsigned long long>(
                   (*nvme)->stats().bytes_written.load()));
   (void)runtime.Stop();

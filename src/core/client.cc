@@ -37,15 +37,7 @@ Status Client::Execute(ipc::Request& req, Stack& stack) {
     return runtime_.Execute(req);
   }
   LABSTOR_RETURN_IF_ERROR(SubmitWithBackpressure(req));
-  const Status st = WaitWithRecovery(req);
-  ReapCompletions();
-  return st;
-}
-
-void Client::ReapCompletions() {
-  if (!connected()) return;
-  while (channel_.qp->PollCompletion().has_value()) {
-  }
+  return WaitWithRecovery(req);
 }
 
 std::chrono::microseconds Client::BackoffDelay(int attempt) {
@@ -88,7 +80,6 @@ Status Client::SubmitWithBackpressure(ipc::Request& req) {
   int attempt = 0;
   while (true) {
     if (channel_.qp->Submit(&req)) {
-      channel_.qp->total_submitted.fetch_add(1, std::memory_order_relaxed);
       // The MMIO doorbell of the shm transport: wakes doorbell-parked
       // workers under Options::event_wakeup, ticks a counter otherwise.
       runtime_.RingDoorbell();

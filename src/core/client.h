@@ -74,10 +74,6 @@ class Client {
  private:
   Status SubmitWithBackpressure(ipc::Request& req);
   Status WaitWithRecovery(ipc::Request& req);
-  // Drain this channel's completion ring. Clients learn completion by
-  // polling req->state, so the cq entries are pure notifications — but
-  // left unread they fill the ring and workers start counting drops.
-  void ReapCompletions();
   // Runs the per-epoch StateRepair handshake if the runtime restarted
   // while we were waiting.
   Status RepairIfNewEpoch();

@@ -56,15 +56,15 @@ Status ModuleManager::ProcessUpgrades(
                << "' failed: " << st.ToString();
       if (first_error.ok()) first_error = st;
     } else if (swapped > 0) {
-      ++applied_;
+      applied_.fetch_add(1, std::memory_order_release);
     } else {
-      ++noops_;
+      noops_.fetch_add(1, std::memory_order_release);
     }
   };
 
   if (!centralized.empty()) {
     // Quiesce everything: stop new submissions, wait for workers to
-    // acknowledge and intermediate traffic to complete. The mark and
+    // acknowledge and in-flight requests to complete. The mark and
     // clear sweeps live in the IpcManager (Begin/EndQuiesce) under its
     // connection lock, so a queue registering mid-upgrade is born
     // paused and is reopened by the same EndQuiesce as everyone else —

@@ -9,6 +9,7 @@
 // refreshes every connected client's view (client-resident operators).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -50,12 +51,16 @@ class ModuleManager {
   void SubmitUpgrade(UpgradeRequest request);
   size_t pending() const;
   // Requests that performed at least one real instance swap.
-  uint64_t upgrades_applied() const { return applied_; }
+  uint64_t upgrades_applied() const {
+    return applied_.load(std::memory_order_acquire);
+  }
   // Requests that completed successfully without swapping anything
   // (every instance already ran the target version). Counted apart
   // from upgrades_applied so "how many times did code actually change"
   // stays answerable.
-  uint64_t noop_upgrades() const { return noops_; }
+  uint64_t noop_upgrades() const {
+    return noops_.load(std::memory_order_acquire);
+  }
 
   // Hook invoked once per applied upgrade, before the swap — models
   // loading the updated code object from storage (the dominant cost in
@@ -98,8 +103,9 @@ class ModuleManager {
   std::deque<UpgradeRequest> queue_;
   CodeLoadFn code_load_;
   PhaseHook phase_hook_;
-  uint64_t applied_ = 0;
-  uint64_t noops_ = 0;
+  // Bumped by the upgrading (admin) thread, polled by other threads.
+  std::atomic<uint64_t> applied_{0};
+  std::atomic<uint64_t> noops_{0};
 };
 
 }  // namespace labstor::core

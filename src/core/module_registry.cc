@@ -1,6 +1,5 @@
 #include "core/module_registry.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "faultinject/faultinject.h"
@@ -68,36 +67,13 @@ std::vector<std::string> ModFactory::Names() const {
   return names;
 }
 
-namespace {
-
-// Ordered whole-registry lock for cross-shard operations. Always
-// ascending shard index, so concurrent all-shard holders cannot
-// deadlock (single-shard paths take exactly one of these locks).
-class AllShardsLock {
- public:
-  template <typename Shards>
-  explicit AllShardsLock(Shards& shards) {
-    locks_.reserve(shards.size());
-    for (auto& shard : shards) {
-      locks_.emplace_back(shard.mu);
-    }
-  }
-
- private:
-  std::vector<std::unique_lock<std::mutex>> locks_;
-};
-
-}  // namespace
-
 Result<LabMod*> ModuleRegistry::Instantiate(const std::string& mod_name,
                                             const std::string& instance_uuid,
                                             const yaml::NodePtr& params,
                                             ModContext& ctx,
                                             uint32_t version) {
-  Shard& shard = ShardFor(instance_uuid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (const auto it = shard.instances.find(instance_uuid);
-      it != shard.instances.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const auto it = instances_.find(instance_uuid); it != instances_.end()) {
     if (it->second.mod->mod_name() != mod_name) {
       return Status::AlreadyExists("instance '" + instance_uuid +
                                    "' already bound to mod '" +
@@ -111,24 +87,22 @@ Result<LabMod*> ModuleRegistry::Instantiate(const std::string& mod_name,
   mod->Bind(instance_uuid);
   LABSTOR_RETURN_IF_ERROR(mod->Init(params, ctx));
   LabMod* raw = mod.get();
-  shard.instances.emplace(instance_uuid, Entry{std::move(mod), params});
+  instances_.emplace(instance_uuid, Entry{std::move(mod), params});
   return raw;
 }
 
 Result<LabMod*> ModuleRegistry::Find(const std::string& instance_uuid) const {
-  const Shard& shard = ShardFor(instance_uuid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.instances.find(instance_uuid);
-  if (it == shard.instances.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = instances_.find(instance_uuid);
+  if (it == instances_.end()) {
     return Status::NotFound("no instance '" + instance_uuid + "'");
   }
   return it->second.mod.get();
 }
 
 bool ModuleRegistry::Has(const std::string& instance_uuid) const {
-  const Shard& shard = ShardFor(instance_uuid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.instances.contains(instance_uuid);
+  std::lock_guard<std::mutex> lock(mu_);
+  return instances_.contains(instance_uuid);
 }
 
 Result<std::unique_ptr<LabMod>> ModuleRegistry::StageLocked(
@@ -146,66 +120,23 @@ Result<std::unique_ptr<LabMod>> ModuleRegistry::StageLocked(
   return std::move(fresh);
 }
 
-Status ModuleRegistry::Upgrade(const std::string& instance_uuid,
-                               uint32_t new_version, ModContext& ctx,
-                               bool* was_noop) {
-  if (was_noop != nullptr) *was_noop = false;
-  Shard& shard = ShardFor(instance_uuid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.instances.find(instance_uuid);
-  if (it == shard.instances.end()) {
-    return Status::NotFound("no instance '" + instance_uuid + "'");
-  }
-  const LabMod& old = *it->second.mod;
-  uint32_t version = new_version;
-  if (version == 0) {
-    LABSTOR_ASSIGN_OR_RETURN(latest, factory_->LatestVersion(old.mod_name()));
-    version = latest;
-  }
-  if (version < old.version()) {
-    return Status::FailedPrecondition(
-        "downgrade to v" + std::to_string(version) + " from running v" +
-        std::to_string(old.version()) + " refused");
-  }
-  if (version == old.version()) {
-    // Same-version "upgrade": the running instance already executes
-    // this code object. Succeed without the Create/Init/StateUpdate
-    // churn (Table I reloads the same dummy module hundreds of times).
-    if (was_noop != nullptr) *was_noop = true;
-    return Status::Ok();
-  }
-  LABSTOR_ASSIGN_OR_RETURN(fresh,
-                           StageLocked(instance_uuid, it->second, version, ctx));
-  it->second.mod = std::move(fresh);
-  return Status::Ok();
-}
-
 Result<ModuleRegistry::UpgradeAllResult> ModuleRegistry::UpgradeAll(
     const std::string& mod_name, uint32_t new_version, ModContext& ctx) {
-  AllShardsLock lock(shards_);
+  std::lock_guard<std::mutex> lock(mu_);
   uint32_t version = new_version;
   if (version == 0) {
     LABSTOR_ASSIGN_OR_RETURN(latest, factory_->LatestVersion(mod_name));
     version = latest;
   }
-  // Sorted instance list: staging order (and therefore which instance
-  // a mid-batch failure lands on) must not depend on hash/shard layout
-  // — the DST replays byte-identically across runs.
-  std::vector<std::pair<std::string, Entry*>> targets;
-  for (auto& shard : shards_) {
-    for (auto& [uuid, entry] : shard.instances) {
-      if (entry.mod->mod_name() == mod_name) targets.emplace_back(uuid, &entry);
-    }
-  }
-  if (targets.empty()) {
-    return Status::NotFound("no running instances of '" + mod_name + "'");
-  }
-  std::sort(targets.begin(), targets.end());
-
+  // Sorted UUID order (the map's), so which instance a mid-batch
+  // failure lands on is the same on every DST replay.
   UpgradeAllResult result;
+  bool found = false;
   std::vector<std::pair<Entry*, std::unique_ptr<LabMod>>> staged;
-  for (auto& [uuid, entry] : targets) {
-    const uint32_t running = entry->mod->version();
+  for (auto& [uuid, entry] : instances_) {
+    if (entry.mod->mod_name() != mod_name) continue;
+    found = true;
+    const uint32_t running = entry.mod->version();
     if (version < running) {
       return Status::FailedPrecondition(
           "downgrade to v" + std::to_string(version) + " from running v" +
@@ -215,11 +146,14 @@ Result<ModuleRegistry::UpgradeAllResult> ModuleRegistry::UpgradeAll(
       ++result.noops;
       continue;
     }
-    auto fresh = StageLocked(uuid, *entry, version, ctx);
+    auto fresh = StageLocked(uuid, entry, version, ctx);
     // Any failure: the staged instances die with this scope and every
     // entry keeps its old version — all-or-nothing.
     if (!fresh.ok()) return fresh.status();
-    staged.emplace_back(entry, std::move(fresh).value());
+    staged.emplace_back(&entry, std::move(fresh).value());
+  }
+  if (!found) {
+    return Status::NotFound("no running instances of '" + mod_name + "'");
   }
   for (auto& [entry, fresh] : staged) entry->mod = std::move(fresh);
   result.swapped = staged.size();
@@ -228,10 +162,9 @@ Result<ModuleRegistry::UpgradeAllResult> ModuleRegistry::UpgradeAll(
 
 Result<yaml::NodePtr> ModuleRegistry::ParamsOf(
     const std::string& instance_uuid) const {
-  const Shard& shard = ShardFor(instance_uuid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.instances.find(instance_uuid);
-  if (it == shard.instances.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = instances_.find(instance_uuid);
+  if (it == instances_.end()) {
     return Status::NotFound("no instance '" + instance_uuid + "'");
   }
   return it->second.params;
@@ -239,46 +172,34 @@ Result<yaml::NodePtr> ModuleRegistry::ParamsOf(
 
 std::vector<std::string> ModuleRegistry::InstancesOf(
     const std::string& mod_name) const {
-  AllShardsLock lock(shards_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  for (const auto& shard : shards_) {
-    for (const auto& [uuid, entry] : shard.instances) {
-      if (entry.mod->mod_name() == mod_name) out.push_back(uuid);
-    }
+  for (const auto& [uuid, entry] : instances_) {
+    if (entry.mod->mod_name() == mod_name) out.push_back(uuid);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<std::string> ModuleRegistry::AllInstances() const {
-  AllShardsLock lock(shards_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  for (const auto& shard : shards_) {
-    for (const auto& [uuid, _] : shard.instances) out.push_back(uuid);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(instances_.size());
+  for (const auto& [uuid, _] : instances_) out.push_back(uuid);
   return out;
 }
 
 Status ModuleRegistry::RepairAll() {
-  AllShardsLock lock(shards_);
-  // Deterministic sweep order (see UpgradeAll): which instance a
-  // partial-repair fault lands on must not depend on shard layout.
-  std::vector<std::pair<std::string, Entry*>> targets;
-  for (auto& shard : shards_) {
-    for (auto& [uuid, entry] : shard.instances) {
-      targets.emplace_back(uuid, &entry);
-    }
-  }
-  std::sort(targets.begin(), targets.end());
-  for (auto& [uuid, entry] : targets) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Sorted UUID order (see UpgradeAll): which instance a partial-repair
+  // fault lands on is the same on every DST replay.
+  for (auto& [uuid, entry] : instances_) {
     // Partial-repair injection: a failure here leaves some mods
     // repaired and some not. That is safe because StateRepair is
     // clear-and-rebuild (idempotent), and Runtime::EnsureRepaired only
     // advances the repaired epoch on full success — the client's next
     // attempt re-runs the whole sweep and converges.
     LABSTOR_FAULTPOINT("core.repair.partial");
-    LABSTOR_RETURN_IF_ERROR(entry->mod->StateRepair());
+    LABSTOR_RETURN_IF_ERROR(entry.mod->StateRepair());
   }
   return Status::Ok();
 }

@@ -12,7 +12,6 @@
 // instances (e.g. two stacks over one allocator).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -79,25 +78,18 @@ class ModuleRegistry {
   Result<LabMod*> Find(const std::string& instance_uuid) const;
   bool Has(const std::string& instance_uuid) const;
 
-  // Live upgrade step: create version `new_version` (0 = latest) of
-  // the same mod name, Init it with the *stored creation params* (the
-  // ones the old instance was configured with), run StateUpdate(old),
-  // swap the instance. Requesting the version already running is a
-  // no-op success (reported via `was_noop`) — no Create/Init/
-  // StateUpdate churn; strict downgrades are rejected.
-  // Existing LabMod* pointers become invalid after a real swap;
-  // callers must re-resolve (stacks re-resolve by UUID after
-  // upgrades).
-  Status Upgrade(const std::string& instance_uuid, uint32_t new_version,
-                 ModContext& ctx, bool* was_noop = nullptr);
-
-  // All-or-nothing upgrade of every instance of `mod_name` under one
-  // lock hold: every fresh instance is staged (Create + Init with the
-  // stored params + StateUpdate) first; the registry swaps only after
-  // *all* of them succeed. Any failure destroys the staged instances
-  // and leaves every entry on its old version — no mixed-version
-  // states. Instances already on the target version are counted in
-  // `noops` and left untouched.
+  // Live upgrade of every instance of `mod_name` to `new_version`
+  // (0 = latest), all-or-nothing under one lock hold. Each fresh
+  // instance is staged first: Create, Init with the *stored creation
+  // params* (the ones the old instance was configured with), then
+  // StateUpdate(old). The registry swaps only after *all* of them
+  // succeed. Any failure destroys the staged instances and leaves
+  // every entry on its old version — no mixed-version states.
+  // Instances already on the target version are counted in `noops`
+  // and left untouched (no Create/Init/StateUpdate churn); strict
+  // downgrades are rejected. Existing LabMod* pointers become invalid
+  // after a real swap; callers must re-resolve (stacks re-resolve by
+  // UUID after upgrades).
   struct UpgradeAllResult {
     size_t swapped = 0;
     size_t noops = 0;
@@ -124,36 +116,23 @@ class ModuleRegistry {
     yaml::NodePtr params;
   };
 
-  // Instances are sharded by UUID hash: per-request-rate paths (Find
-  // during RefreshBindings sweeps, Instantiate during mounts) contend
-  // only on their own shard's mutex instead of one registry-wide lock
-  // — the module-registry half of the 100+-core scaling fixes
-  // (DESIGN.md §11). Cross-shard operations (UpgradeAll's
-  // all-or-nothing staging, RepairAll, the listings) take every shard
-  // lock in index order, so they serialize with each other but never
-  // deadlock against the single-shard paths.
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> instances;
-  };
-
-  Shard& ShardFor(const std::string& uuid) const {
-    return shards_[std::hash<std::string>{}(uuid) % kShards];
-  }
-
   // Stage a replacement for `entry` at `version` (resolved, > old
   // version): Create + Bind + Init(stored params) + StateUpdate(old).
   // Pure with respect to the registry: failure just destroys the
-  // staged instance. Caller holds the entry's shard lock (or all of
-  // them).
+  // staged instance. Caller holds mu_.
   Result<std::unique_ptr<LabMod>> StageLocked(const std::string& uuid,
                                               const Entry& entry,
                                               uint32_t version,
                                               ModContext& ctx);
 
   const ModFactory* factory_;
-  mutable std::array<Shard, kShards> shards_;
+  // No request path touches the registry: Instantiate and Find run at
+  // mount and upgrade time, under StackNamespace's own lock. The map
+  // is ordered, so every sweep (UpgradeAll's staging, RepairAll, the
+  // listings) visits instances in sorted UUID order and DST replays
+  // stay deterministic.
+  mutable std::mutex mu_;
+  std::map<std::string, Entry> instances_;
 };
 
 }  // namespace labstor::core

@@ -215,43 +215,4 @@ Assignment DynamicOrchestrator::Rebalance(const std::vector<QueueLoad>& queues,
   return assignment;
 }
 
-ShardedOrchestrator::ShardedOrchestrator(size_t shards,
-                                         InnerFactory make_inner) {
-  if (shards == 0) shards = 1;
-  inner_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    inner_.push_back(make_inner ? make_inner()
-                                : std::make_unique<DynamicOrchestrator>());
-  }
-}
-
-Assignment ShardedOrchestrator::Rebalance(const std::vector<QueueLoad>& queues,
-                                          size_t max_workers) {
-  Assignment assignment;
-  if (max_workers == 0 || queues.empty()) return assignment;
-  const size_t shards = std::min(inner_.size(), max_workers);
-  if (shards <= 1) return inner_[0]->Rebalance(queues, max_workers);
-  // Stable partition by qid: a queue's shard never changes across
-  // epochs, so per-shard EWMA/backlog history stays coherent.
-  std::vector<std::vector<QueueLoad>> groups(shards);
-  for (const QueueLoad& q : queues) groups[q.qid % shards].push_back(q);
-  // Even worker slices, remainder to the lowest shards; every shard
-  // with queues keeps at least one worker (slices stay disjoint
-  // because shards ≤ max_workers).
-  const size_t base = max_workers / shards;
-  const size_t extra = max_workers % shards;
-  for (size_t s = 0; s < shards; ++s) {
-    if (groups[s].empty()) continue;
-    const size_t slice = std::max<size_t>(1, base + (s < extra ? 1 : 0));
-    Assignment part = inner_[s]->Rebalance(groups[s], slice);
-    for (size_t b = 0; b < part.worker_queues.size(); ++b) {
-      if (part.worker_queues[b].empty()) continue;
-      assignment.worker_queues.push_back(std::move(part.worker_queues[b]));
-      assignment.latency_dedicated.push_back(
-          b < part.latency_dedicated.size() && part.latency_dedicated[b]);
-    }
-  }
-  return assignment;
-}
-
 }  // namespace labstor::core

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,37 +109,6 @@ class DynamicOrchestrator final : public WorkOrchestrator {
   static Options Sanitize(Options options);
 
   Options options_;
-};
-
-// Scaling wrapper for 100+-core pools: partitions queues by qid hash
-// into `shards` groups, each packed by its own private inner policy
-// over an even slice of the worker budget, and concatenates the
-// per-shard assignments. Two wins at high core counts:
-//   * the epoch-loop cost drops from one pack over Q queues x W
-//     workers to S independent packs over Q/S x W/S (the inner
-//     search is superlinear in both);
-//   * per-shard policy state means no shared orchestrator state to
-//     serialize on when shards rebalance concurrently (the DES drives
-//     them from one loop today, but the partitioning is what makes
-//     concurrent per-shard epochs possible at all).
-// The per-shard worker slices are disjoint, so the concatenated
-// assignment never exceeds max_workers.
-class ShardedOrchestrator final : public WorkOrchestrator {
- public:
-  using InnerFactory = std::function<std::unique_ptr<WorkOrchestrator>()>;
-
-  // `shards` inner policies built by `make_inner` (default: one
-  // DynamicOrchestrator per shard).
-  explicit ShardedOrchestrator(size_t shards, InnerFactory make_inner = {});
-
-  std::string_view name() const override { return "sharded"; }
-  Assignment Rebalance(const std::vector<QueueLoad>& queues,
-                       size_t max_workers) override;
-
-  size_t shards() const { return inner_.size(); }
-
- private:
-  std::vector<std::unique_ptr<WorkOrchestrator>> inner_;
 };
 
 // Shared helper: longest-processing-time bin packing of queue loads

@@ -1,6 +1,7 @@
 #include "core/runtime.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.h"
 #include "faultinject/faultinject.h"
@@ -22,29 +23,35 @@ inline void CpuRelax() {
 #endif
 }
 
-// Spin → yield → exponential sleep, reset on work (DESIGN.md §7).
-// Spinning keeps dequeue latency in the sub-µs range for ping-pong
-// traffic; the sleep ceiling bounds idle CPU burn at the old fixed-
-// sleep level. SleepAtCeiling() is the bulk-traffic escape hatch: a
-// worker that just drained a full batch knows producers are streaming,
-// so the kindest idle move is a long sleep that gives them the core to
-// refill (spinning here would preempt the producer on a single-CPU
-// host and serialize the pipeline into one context switch per
-// request).
+// Max requests a worker pulls from one queue per visit. Bounds both
+// the amortization win and the fairness cost: another queue waits at
+// most kWorkerBatch executions.
+constexpr size_t kWorkerBatch = 16;
+
+// Spin → yield → exponential sleep, reset on work (DESIGN.md §7): spin
+// kSpinPolls empty passes (cpu-relax), yield kYieldPolls passes, then
+// sleep with exponential backoff from kIdleSleepMin up to the
+// worker_idle_sleep ceiling. Spinning keeps dequeue latency in the
+// sub-µs range for ping-pong traffic; the sleep ceiling bounds idle
+// CPU burn at the old fixed-sleep level. SleepAtCeiling() is the
+// bulk-traffic escape hatch: a worker that just drained a full batch
+// knows producers are streaming, so the kindest idle move is a long
+// sleep that gives them the core to refill (spinning here would
+// preempt the producer on a single-CPU host and serialize the
+// pipeline into one context switch per request).
 class IdleBackoff {
  public:
-  IdleBackoff(uint32_t spin_polls, uint32_t yield_polls,
-              std::chrono::nanoseconds sleep_min,
-              std::chrono::nanoseconds sleep_max)
-      : spin_polls_(spin_polls),
-        yield_polls_(yield_polls),
-        sleep_min_(sleep_min),
-        sleep_max_(sleep_max < sleep_min ? sleep_min : sleep_max),
-        cur_sleep_(sleep_min) {}
+  static constexpr uint32_t kSpinPolls = 64;
+  static constexpr uint32_t kYieldPolls = 16;
+  static constexpr std::chrono::nanoseconds kIdleSleepMin =
+      std::chrono::microseconds(4);
+
+  explicit IdleBackoff(std::chrono::nanoseconds sleep_max)
+      : sleep_max_(std::max(sleep_max, kIdleSleepMin)) {}
 
   void Reset() {
     idle_passes_ = 0;
-    cur_sleep_ = sleep_min_;
+    cur_sleep_ = kIdleSleepMin;
   }
 
   // Advance the ladder one idle pass. Spin/yield rungs pause inline
@@ -52,12 +59,12 @@ class IdleBackoff {
   // actual wait to the caller — a worker on the doorbell parks on the
   // condvar for that long instead of a blind sleep_for.
   std::chrono::nanoseconds Idle() {
-    if (idle_passes_ < spin_polls_) {
+    if (idle_passes_ < kSpinPolls) {
       ++idle_passes_;
       CpuRelax();
       return std::chrono::nanoseconds::zero();
     }
-    if (idle_passes_ < spin_polls_ + yield_polls_) {
+    if (idle_passes_ < kSpinPolls + kYieldPolls) {
       ++idle_passes_;
       std::this_thread::yield();
       return std::chrono::nanoseconds::zero();
@@ -68,18 +75,15 @@ class IdleBackoff {
   }
 
   std::chrono::nanoseconds SleepAtCeiling() {
-    idle_passes_ = spin_polls_ + yield_polls_;
+    idle_passes_ = kSpinPolls + kYieldPolls;
     cur_sleep_ = sleep_max_;
     return sleep_max_;
   }
 
  private:
-  const uint32_t spin_polls_;
-  const uint32_t yield_polls_;
-  const std::chrono::nanoseconds sleep_min_;
   const std::chrono::nanoseconds sleep_max_;
   uint32_t idle_passes_ = 0;
-  std::chrono::nanoseconds cur_sleep_;
+  std::chrono::nanoseconds cur_sleep_ = kIdleSleepMin;
 };
 
 }  // namespace
@@ -93,7 +97,6 @@ Runtime::Runtime(Options options, simdev::DeviceRegistry& devices)
   if (options_.orchestrator == nullptr) {
     options_.orchestrator = std::make_unique<DynamicOrchestrator>();
   }
-  if (options_.worker_batch == 0) options_.worker_batch = 1;
   mod_context_.devices = &devices_;
   mod_context_.num_workers = static_cast<uint32_t>(options_.max_workers);
   mod_context_.telemetry = options_.telemetry;
@@ -111,7 +114,6 @@ Runtime::Runtime(Options options, simdev::DeviceRegistry& devices)
     wired_.queue_depth = m.GetHistogram("ipc.queue.depth");
     wired_.rebalances = m.GetCounter("orchestrator.rebalance.count");
     wired_.active_workers = m.GetGauge("orchestrator.workers.active");
-    wired_.completions_dropped = m.GetCounter("runtime.completion.dropped");
   }
 }
 
@@ -214,20 +216,23 @@ Stack* Runtime::LookupStack(uint32_t stack_id, ExecScratch& scratch) {
 }
 
 Status Runtime::ExecuteWith(ipc::Request& req, ExecScratch& scratch) {
+  // Complete() hands the slot back to the client, which may Reuse() it
+  // at once, so every field read happens before it.
   Stack* stack = LookupStack(req.stack_id, scratch);
   if (stack == nullptr) {
+    Status missing =
+        Status::NotFound("no stack with id " + std::to_string(req.stack_id));
     req.Complete(StatusCode::kNotFound);
-    return Status::NotFound("no stack with id " +
-                            std::to_string(req.stack_id));
+    return missing;
   }
   scratch.trace.Clear();
   scratch.exec.Reset(*stack, mod_context_, scratch.trace);
   const Status st = scratch.exec.Dispatch(req);
+  const uint32_t worker = req.worker;
   req.Complete(st.ok() ? StatusCode::kOk : st.code(), req.result_u64);
-  requests_processed_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::Telemetry* tel = options_.telemetry;
       tel != nullptr && tel->enabled()) {
-    scratch.trace.PublishTo(*tel, req.worker);
+    scratch.trace.PublishTo(*tel, worker);
   }
   return st;
 }
@@ -342,14 +347,12 @@ std::vector<ipc::QueuePair*> Runtime::AssignedQueues(size_t worker_id) const {
 
 void Runtime::WorkerLoop(size_t worker_id) {
   telemetry::Telemetry* tel = options_.telemetry;
-  const size_t batch_max = options_.worker_batch;
   // Per-worker state, sized once: the drained-batch buffer, the
   // execution scratch, and the idle ladder. Nothing below allocates
   // once these are warm.
-  std::vector<ipc::Request*> batch(batch_max, nullptr);
+  std::array<ipc::Request*, kWorkerBatch> batch{};
   ExecScratch scratch;
-  IdleBackoff idle(options_.worker_spin_polls, options_.worker_yield_polls,
-                   options_.worker_idle_sleep_min, options_.worker_idle_sleep);
+  IdleBackoff idle(options_.worker_idle_sleep);
   // RCU read side: hold the published table; re-load only when the
   // generation counter moves (one relaxed-ish atomic load per pass in
   // steady state, no mutex, no vector copy).
@@ -406,7 +409,7 @@ void Runtime::WorkerLoop(size_t worker_id) {
         qp->AckUpdate();
         continue;  // paused for upgrade
       }
-      size_t n = qp->PollSubmissionBatch(batch.data(), batch_max);
+      size_t n = qp->PollSubmissionBatch(batch.data(), kWorkerBatch);
       if (n == 0) continue;
       did_work = true;
       max_drain = std::max(max_drain, n);
@@ -430,17 +433,11 @@ void Runtime::WorkerLoop(size_t worker_id) {
           }
           // Poisoned slot: the request arrives unusable (stale
           // pointer, scribbled header); the worker rejects it without
-          // executing but still accounts a completion so the
-          // orchestrator's backlog estimate stays truthful.
+          // executing, completing it with the injected error.
           if (auto poison = fi->Evaluate("ipc.slot.poison")) {
             req->Complete(poison->code == StatusCode::kOk
                               ? StatusCode::kCorruption
                               : poison->code);
-            qp->total_completed.fetch_add(1, std::memory_order_relaxed);
-            if (!qp->Complete(req) &&
-                wired_.completions_dropped != nullptr) {
-              wired_.completions_dropped->Inc(worker_id);
-            }
             continue;
           }
           batch[kept++] = req;
@@ -482,14 +479,6 @@ void Runtime::WorkerLoop(size_t worker_id) {
               .count());
       const uint64_t per_request_ns = batch_ns / n;
       qp->UpdateEstProcessing(per_request_ns);
-      qp->total_completed.fetch_add(n, std::memory_order_relaxed);
-      const size_t accepted = qp->CompleteBatch(batch.data(), n);
-      for (size_t i = accepted; i < n; ++i) {
-        if (!qp->Complete(batch[i]) &&
-            wired_.completions_dropped != nullptr) {
-          wired_.completions_dropped->Inc(worker_id);
-        }
-      }
       in_flight_.fetch_sub(n, std::memory_order_acq_rel);
       if (instrument) {
         wired_.worker_requests->Add(n, worker_id);
@@ -498,7 +487,7 @@ void Runtime::WorkerLoop(size_t worker_id) {
     }
     if (did_work) {
       idle.Reset();
-      bulk_traffic = max_drain >= batch_max;
+      bulk_traffic = max_drain >= kWorkerBatch;
     } else if (bulk_traffic) {
       sleep_or_park(idle.SleepAtCeiling(), db_seen);
     } else {
@@ -623,19 +612,10 @@ void Runtime::WaitQuiesce() {
     if (all_acked) break;
     std::this_thread::yield();
   }
-  // 2. In-flight requests and intermediate queues must drain (the
-  //    seq_cst load pairs with the inline gate in Execute()).
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (in_flight_.load(std::memory_order_seq_cst) == 0) {
-      bool drained = true;
-      for (ipc::QueuePair* qp : ipc_.IntermediateQueues()) {
-        if (qp->PendingSubmissions() != 0) {
-          drained = false;
-          break;
-        }
-      }
-      if (drained) break;
-    }
+  // 2. In-flight requests must drain (the seq_cst load pairs with the
+  //    inline gate in Execute()).
+  while (!stop_.load(std::memory_order_acquire) &&
+         in_flight_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
 }

@@ -15,9 +15,9 @@
 //     builds an immutable AssignmentTable and swaps it into an atomic
 //     shared_ptr; workers poll a generation counter and reload only
 //     when it changes (no mutex, no copy per pass);
-//   * workers drain queues in batches (PollSubmissionBatch) and push
-//     completions in batches, amortizing ring CAS traffic, telemetry
-//     clock reads, and EWMA updates;
+//   * workers drain queues in batches (PollSubmissionBatch),
+//     amortizing ring CAS traffic, telemetry clock reads, and EWMA
+//     updates; completion is signalled in the request slot itself;
 //   * execution is allocation-free steady-state: per-thread ExecScratch
 //     reuses the ExecTrace/StackExec and caches stack_id → Stack*
 //     lookups validated against the namespace epoch;
@@ -55,22 +55,9 @@ class Runtime {
     size_t max_workers = 4;
     std::unique_ptr<WorkOrchestrator> orchestrator;  // default: dynamic
     std::chrono::milliseconds admin_poll{5};
-    // Max requests a worker pulls from one queue per visit. Bounds both
-    // the amortization win and the fairness cost: another queue waits
-    // at most worker_batch executions.
-    size_t worker_batch = 16;
-    // Idle policy: spin worker_spin_polls empty passes (cpu-relax),
-    // then yield worker_yield_polls passes, then sleep with exponential
-    // backoff from worker_idle_sleep_min up to worker_idle_sleep.
-    // Finding work resets the ladder to spinning — unless the last
-    // working pass drained a full batch, which signals bulk traffic:
-    // then the worker skips straight to the sleep ceiling so the
-    // producers get uninterrupted time to refill (decisive on
-    // single-CPU hosts, where spinning preempts the producer).
-    uint32_t worker_spin_polls = 64;
-    uint32_t worker_yield_polls = 16;
-    std::chrono::microseconds worker_idle_sleep_min{4};
-    std::chrono::microseconds worker_idle_sleep{100};  // backoff ceiling
+    // Ceiling of the idle worker's exponential sleep backoff (the
+    // spin → yield → sleep ladder in runtime.cc, DESIGN.md §7).
+    std::chrono::microseconds worker_idle_sleep{100};
     // Event-driven wakeup (DESIGN.md §13): when set, a worker that
     // reaches the sleep rungs of the idle ladder parks on the runtime
     // doorbell instead of a fixed-length sleep — the client's Submit
@@ -156,9 +143,6 @@ class Runtime {
     return worker_dead_ != nullptr && worker_id < options_.max_workers &&
            worker_dead_[worker_id].load(std::memory_order_acquire);
   }
-  uint64_t requests_processed() const {
-    return requests_processed_.load(std::memory_order_relaxed);
-  }
   // Inline (sync-path) executions that arrived during an upgrade
   // quiesce and were held at the gate until it lifted. Strictly
   // monotonic evidence — the mirror of QueuePair::refused_while_paused
@@ -225,10 +209,6 @@ class Runtime {
     telemetry::LatencyHistogram* queue_depth = nullptr;
     telemetry::Counter* rebalances = nullptr;
     telemetry::Gauge* active_workers = nullptr;
-    // Unhandled-fault audit: completions the worker could not publish
-    // (cq full). Non-zero means a fault escaped every surfaced path;
-    // the fault-injection CI job fails on it.
-    telemetry::Counter* completions_dropped = nullptr;
   };
 
   Status ExecuteWith(ipc::Request& req, ExecScratch& scratch);
@@ -269,7 +249,6 @@ class Runtime {
   // gate, closing the namespace-epoch validation-to-execution window.
   std::atomic<bool> quiescing_{false};
   std::atomic<uint64_t> inline_paused_{0};
-  std::atomic<uint64_t> requests_processed_{0};
   uint64_t repaired_epoch_ = 0;
   std::mutex repair_mu_;
   std::mutex fd_depot_mu_;

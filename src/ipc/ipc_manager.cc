@@ -22,9 +22,8 @@ Result<ClientChannel> IpcManager::Connect(const Credentials& creds) {
   LABSTOR_RETURN_IF_ERROR(
       shmem_.Grant((*segment)->id(), kRuntimeCreds, creds.pid));
 
-  auto qp = std::make_unique<QueuePair>(next_qid_++, QueueKind::kPrimary,
-                                        options_.ordered_queues,
-                                        options_.queue_depth, creds);
+  auto qp =
+      std::make_unique<QueuePair>(next_qid_++, options_.queue_depth, creds);
   QueuePair* raw = qp.get();
   // Born paused while an upgrade quiesce is in progress: the client
   // may connect, but nothing it submits is admitted until EndQuiesce
@@ -48,17 +47,6 @@ Status IpcManager::Disconnect(const Credentials& creds) {
   std::erase(primary_, qp);
   channels_.erase(it);
   return Status::Ok();
-}
-
-QueuePair* IpcManager::CreateIntermediateQueue(bool ordered) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto qp = std::make_unique<QueuePair>(next_qid_++, QueueKind::kIntermediate,
-                                        ordered, options_.queue_depth,
-                                        kRuntimeCreds);
-  QueuePair* raw = qp.get();
-  queues_.push_back(std::move(qp));
-  intermediate_.push_back(raw);
-  return raw;
 }
 
 void IpcManager::BeginQuiesce() {

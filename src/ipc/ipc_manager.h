@@ -45,7 +45,6 @@ class IpcManager {
   struct Options {
     size_t segment_bytes = 16 << 20;
     size_t queue_depth = 1024;  // power of two
-    bool ordered_queues = true;
     // Upper bound on how long Wait() polls an undrained request while
     // the runtime claims to be online. Guards against wedging forever
     // behind a dead worker: on expiry Wait reports kTimeout and the
@@ -62,9 +61,6 @@ class IpcManager {
   // Drops the client's queue assignment (fork/execve re-connect path).
   Status Disconnect(const Credentials& creds);
 
-  // Intermediate queues live runtime-side.
-  QueuePair* CreateIntermediateQueue(bool ordered);
-
   // Snapshots, not references: Connect/Disconnect mutate these vectors
   // from client threads while the admin rebalancer (and a dying
   // worker's rebalance) iterate them. Both callers are cold paths —
@@ -72,10 +68,6 @@ class IpcManager {
   std::vector<QueuePair*> PrimaryQueues() const {
     std::lock_guard<std::mutex> lock(mu_);
     return primary_;
-  }
-  std::vector<QueuePair*> IntermediateQueues() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return intermediate_;
   }
   QueuePair* FindQueue(uint32_t qid) const;
 
@@ -133,7 +125,6 @@ class IpcManager {
   size_t quiesce_depth_ = 0;  // guarded by mu_
   std::vector<std::unique_ptr<QueuePair>> queues_;
   std::vector<QueuePair*> primary_;
-  std::vector<QueuePair*> intermediate_;
   std::unordered_map<ProcessId, ClientChannel> channels_;
   std::atomic<bool> online_{true};
   std::atomic<uint64_t> epoch_{1};

@@ -1,13 +1,13 @@
 // Queue Pairs: the IPC Manager's communication primitive.
 //
-// Properties from the paper (III-C1):
-//   * primary queues carry client-initiated requests and live in
-//     shared memory; intermediate queues carry requests spawned by
-//     other requests and live in (Runtime-) private memory;
-//   * ordered queues must be drained by a single worker in sequence;
-//     unordered queues may be drained by many workers;
-//   * primary queues carry the UPDATE_PENDING / UPDATE_ACKED flags the
-//     centralized live-upgrade protocol uses to quiesce traffic.
+// Each connected client owns one primary queue in shared memory
+// (paper §III-C1). It is a submission ring only: a worker signals
+// completion in the request slot itself (Request::Complete flips
+// `state`, which the client polls), so no completion ring is needed.
+// The paper's intermediate queues (requests spawned by requests) have
+// no counterpart here: mods forward synchronously inside StackExec.
+// Primary queues carry the UPDATE_PENDING / UPDATE_ACKED flags the
+// centralized live-upgrade protocol uses to quiesce traffic.
 #pragma once
 
 #include <atomic>
@@ -22,22 +22,12 @@
 
 namespace labstor::ipc {
 
-enum class QueueKind : uint8_t { kPrimary, kIntermediate };
-
 class QueuePair {
  public:
-  QueuePair(uint32_t id, QueueKind kind, bool ordered, size_t depth_pow2,
-            Credentials owner)
-      : id_(id),
-        kind_(kind),
-        ordered_(ordered),
-        owner_(owner),
-        sq_(depth_pow2),
-        cq_(depth_pow2) {}
+  QueuePair(uint32_t id, size_t depth_pow2, Credentials owner)
+      : id_(id), owner_(owner), sq_(depth_pow2) {}
 
   uint32_t id() const { return id_; }
-  QueueKind kind() const { return kind_; }
-  bool ordered() const { return ordered_; }
   const Credentials& owner() const { return owner_; }
 
   // --- submission side ---
@@ -61,15 +51,6 @@ class QueuePair {
     return sq_.TryPopBatch(out, max);
   }
   size_t PendingSubmissions() const { return sq_.SizeApprox(); }
-
-  // --- completion side ---
-  bool Complete(Request* req) { return cq_.TryPush(req); }
-  // Publish a batch of completions; returns how many the ring
-  // accepted (the caller surfaces the shortfall as dropped).
-  size_t CompleteBatch(Request** reqs, size_t n) {
-    return cq_.TryPushBatch(reqs, n);
-  }
-  std::optional<Request*> PollCompletion() { return cq_.TryPop(); }
 
   // --- live upgrade protocol flags ---
   // Mark/Clear count state *transitions* (normal -> paused and back),
@@ -106,22 +87,19 @@ class QueuePair {
     return refused_while_paused_.load(std::memory_order_relaxed);
   }
 
-  // Bookkeeping the Work Orchestrator reads during rebalance.
-  std::atomic<uint64_t> total_submitted{0};
-  std::atomic<uint64_t> total_completed{0};
   // Max EstProcessingTime (ns) among mods reachable from this queue;
   // maintained by the runtime when stacks are (re)assigned.
   std::atomic<uint64_t> est_processing_ns{0};
 
   // Fold a measured per-request service time into est_processing_ns
-  // (EWMA, alpha = 1/8). Two workers draining the same unordered queue
-  // must not interleave load/store and lose an update, hence the CAS —
-  // but bounded: with many concurrent drainers an unbounded loop can
-  // livelock (every attempt loses to a sibling), and the estimate is a
-  // heuristic that tolerates one superseded sample far better than a
-  // stuck worker. After kEwmaCasAttempts failed rounds the fold is
-  // published with a plain relaxed store computed from the freshest
-  // observed value.
+  // (EWMA, alpha = 1/8). Two workers draining the same queue (old and
+  // new owner across a rebalance) must not interleave load/store and
+  // lose an update, hence the CAS — but bounded: with many concurrent
+  // drainers an unbounded loop can livelock (every attempt loses to a
+  // sibling), and the estimate is a heuristic that tolerates one
+  // superseded sample far better than a stuck worker. After
+  // kEwmaCasAttempts failed rounds the fold is published with a plain
+  // relaxed store computed from the freshest observed value.
   void UpdateEstProcessing(uint64_t sample_ns) {
     uint64_t prev = est_processing_ns.load(std::memory_order_relaxed);
     for (int attempt = 0; attempt < kEwmaCasAttempts; ++attempt) {
@@ -150,11 +128,8 @@ class QueuePair {
 
  private:
   uint32_t id_;
-  QueueKind kind_;
-  bool ordered_;
   Credentials owner_;
   MpmcRing<Request*> sq_;
-  MpmcRing<Request*> cq_;
   std::atomic<uint32_t> update_state_{0};  // 0=normal 1=pending 2=acked
   std::atomic<uint64_t> pauses_{0};
   std::atomic<uint64_t> clears_{0};

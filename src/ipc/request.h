@@ -2,9 +2,10 @@
 //
 // A Request is allocated inside a ShMemSegment by the client-side
 // connector, filled in, and its pointer pushed onto a submission ring.
-// Workers process it (possibly forwarding derived requests through
-// intermediate queues) and finally store the result fields and flip
-// `state` to kDone, which the polling client observes.
+// A worker executes it (mods forward synchronously down the stack) and
+// finally stores the result fields and flips `state` to kDone, which
+// the polling client observes. That flip is the only completion
+// signal; once it lands the slot belongs to the client again.
 #pragma once
 
 #include <atomic>

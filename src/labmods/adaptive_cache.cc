@@ -93,8 +93,8 @@ Status AdaptiveCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
     }
     case ipc::OpCode::kBlkRead: {
       bool all_hit = req.data != nullptr;
-      if (req.data != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
+      if (all_hit) {
         uint64_t pos = 0;
         while (pos < req.length) {
           const uint64_t abs = req.offset + pos;
@@ -118,19 +118,19 @@ Status AdaptiveCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
           }
         }
       }
+      ++(all_hit ? hits_ : misses_);
+      lock.unlock();
       exec.trace().Charge("cache", costs.lru_cache_fixed +
                                        costs.CopyCost(req.length));
       if (all_hit) {
-        ++hits_;
         if (hits_metric_ != nullptr) hits_metric_->Inc(req.worker);
         req.result_u64 = req.length;
         return Status::Ok();
       }
-      ++misses_;
       if (misses_metric_ != nullptr) misses_metric_->Inc(req.worker);
       LABSTOR_RETURN_IF_ERROR(exec.Forward(req));
       if (req.data != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
+        lock.lock();
         uint64_t pos = 0;
         while (pos < req.length) {
           const uint64_t abs = req.offset + pos;

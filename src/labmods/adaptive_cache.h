@@ -30,8 +30,16 @@ class AdaptiveCacheMod final : public core::LabMod {
   Status StateUpdate(core::LabMod& old) override;
   sim::Time EstProcessingTime() const override { return 6 * sim::kUs; }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
+  // Counted and read under mu_: several workers can read through one
+  // shared instance.
+  uint64_t hits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hits_;
+  }
+  uint64_t misses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return misses_;
+  }
   size_t resident_pages() const;
 
  private:
@@ -53,8 +61,8 @@ class AdaptiveCacheMod final : public core::LabMod {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Page> pages_;
   uint64_t tick_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  uint64_t hits_ = 0;    // guarded by mu_
+  uint64_t misses_ = 0;  // guarded by mu_
   // Telemetry mirrors (cache.adaptive_cache.{hits,misses}); null when
   // the runtime has no telemetry attached.
   telemetry::Counter* hits_metric_ = nullptr;

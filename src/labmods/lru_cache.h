@@ -31,9 +31,16 @@ class LruCacheMod final : public core::LabMod {
   Status StateUpdate(core::LabMod& old) override;
   sim::Time EstProcessingTime() const override { return 5 * sim::kUs; }
 
-  // Introspection for tests/benches.
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
+  // Introspection for tests/benches. Counted and read under mu_:
+  // several workers can read through one shared instance.
+  uint64_t hits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hits_;
+  }
+  uint64_t misses() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return misses_;
+  }
   size_t resident_pages() const;
   size_t capacity_pages() const { return capacity_pages_; }
 
@@ -54,8 +61,8 @@ class LruCacheMod final : public core::LabMod {
   mutable std::mutex mu_;
   LruList lru_;  // front = most recent
   std::unordered_map<uint64_t, LruList::iterator> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  uint64_t hits_ = 0;    // guarded by mu_
+  uint64_t misses_ = 0;  // guarded by mu_
   // Telemetry mirrors of hits_/misses_ (cache.lru_cache.{hits,misses});
   // null when the runtime has no telemetry attached.
   telemetry::Counter* hits_metric_ = nullptr;

@@ -22,7 +22,8 @@
 //   labstorctl faults <runtime.yaml> <stack.yaml> <faults.yaml>
 //       Arm the fault-injection plan, run the smoke workload under it
 //       (tolerating injected failures), and report per-site fire
-//       counts, client retries, and the unhandled-fault audit counter.
+//       counts, client retries, and ops that ended in kTimeout (the
+//       unhandled-fault audit: non-zero exits 1).
 //   labstorctl cluster [nodes] [ops]
 //       Boot a simulated sharded cluster (default 4 nodes), run a
 //       deterministic workload with one node join mid-stream, and
@@ -258,9 +259,10 @@ int Telemetrize(const char* config_path, const char* stack_path,
 // Arm a fault plan, run the smoke workload under it, and report what
 // fired. Injected failures are expected — the interesting outputs are
 // the per-site fire counts, the client's transport retries, and the
-// "runtime.completion.dropped" audit counter, which must stay zero
-// (a nonzero value means a worker completed a request nobody could
-// observe: an unhandled fault).
+// unhandled-fault audit: ops that ended in kTimeout, which must stay
+// zero. Every injected fault surfaces as the op's own error code; a
+// drained request that never completes (lost by the runtime) is what
+// ends in kTimeout once the client's retries run out.
 int RunWithFaults(const char* config_path, const char* stack_path,
                   const char* faults_path) {
   auto config = core::RuntimeConfig::ParseFile(config_path);
@@ -307,6 +309,15 @@ int RunWithFaults(const char* config_path, const char* stack_path,
   const std::string path = spec->mount + "/labstorctl_faults";
   int ok_ops = 0;
   int failed_ops = 0;
+  int timed_out_ops = 0;
+  const auto tally = [&](const Status& st) {
+    if (st.ok()) {
+      ++ok_ops;
+      return;
+    }
+    ++failed_ops;
+    if (st.code() == StatusCode::kTimeout) ++timed_out_ops;
+  };
   auto fd = fs.Create(path);
   if (fd.ok()) {
     std::vector<uint8_t> data(4096);
@@ -314,14 +325,12 @@ int RunWithFaults(const char* config_path, const char* stack_path,
     constexpr int kOps = 128;
     for (int i = 0; i < kOps; ++i) {
       const uint64_t off = static_cast<uint64_t>(i % 32) * data.size();
-      const bool write_ok = fs.Write(*fd, data, off).ok();
-      const bool read_ok = fs.Read(*fd, data, off).ok();
-      ok_ops += static_cast<int>(write_ok) + static_cast<int>(read_ok);
-      failed_ops += static_cast<int>(!write_ok) + static_cast<int>(!read_ok);
+      tally(fs.Write(*fd, data, off).status());
+      tally(fs.Read(*fd, data, off).status());
     }
     (void)fs.Unlink(path);
   } else {
-    ++failed_ops;
+    tally(fd.status());
     std::fprintf(stderr, "create: %s\n", fd.status().ToString().c_str());
   }
   (void)runtime.Stop();
@@ -336,11 +345,9 @@ int RunWithFaults(const char* config_path, const char* stack_path,
   }
   std::printf("client retries: %llu\n",
               static_cast<unsigned long long>(client.retries()));
-  const uint64_t dropped =
-      tel.metrics().GetCounter("runtime.completion.dropped")->Value();
-  std::printf("unhandled-fault audit (runtime.completion.dropped): %llu\n",
-              static_cast<unsigned long long>(dropped));
-  return dropped == 0 ? 0 : 1;
+  std::printf("unhandled-fault audit (ops ended in kTimeout): %d\n",
+              timed_out_ops);
+  return timed_out_ops == 0 ? 0 : 1;
 }
 
 // ---------------------------------------------------------------

@@ -204,8 +204,7 @@ TEST_F(FailureTest, GenericFsRejectsBadAndStaleFds) {
 }
 
 TEST_F(FailureTest, QueueOverflowBlocksSubmissionNotCorrectness) {
-  ipc::QueuePair qp(1, ipc::QueueKind::kPrimary, true, 4,
-                    ipc::Credentials{1, 0, 0});
+  ipc::QueuePair qp(1, 4, ipc::Credentials{1, 0, 0});
   std::array<ipc::Request, 6> reqs;
   int accepted = 0;
   for (auto& req : reqs) accepted += qp.Submit(&req) ? 1 : 0;

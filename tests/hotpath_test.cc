@@ -135,8 +135,6 @@ void PumpOne(ipc::ClientChannel& channel, ipc::Request* req,
   req->stack_id = stack_id;
   while (!channel.qp->Submit(req)) std::this_thread::yield();
   while (!req->IsDone()) std::this_thread::yield();
-  while (channel.qp->PollCompletion().has_value()) {
-  }
 }
 
 TEST_F(HotpathTest, SteadyStateExecutionAllocatesNothing) {
@@ -175,8 +173,7 @@ TEST_F(HotpathTest, SteadyStateExecutionAllocatesNothing) {
 }
 
 TEST_F(HotpathTest, QueuePairBatchDrainPreservesFifo) {
-  ipc::QueuePair qp(/*id=*/9, ipc::QueueKind::kPrimary, /*ordered=*/false,
-                    /*depth_pow2=*/16, ipc::Credentials{1, 0, 0});
+  ipc::QueuePair qp(/*id=*/9, /*depth_pow2=*/16, ipc::Credentials{1, 0, 0});
   std::vector<ipc::Request> backing(10);
   for (size_t i = 0; i < backing.size(); ++i) {
     backing[i].id = i;
@@ -190,21 +187,10 @@ TEST_F(HotpathTest, QueuePairBatchDrainPreservesFifo) {
   ASSERT_EQ(qp.PollSubmissionBatch(out, 16), 6u);
   for (size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i]->id, i + 4);
   EXPECT_EQ(qp.PollSubmissionBatch(out, 16), 0u);
-
-  // Batched completion push round-trips through PollCompletion.
-  ipc::Request* completions[10];
-  for (size_t i = 0; i < 10; ++i) completions[i] = &backing[i];
-  EXPECT_EQ(qp.CompleteBatch(completions, 10), 10u);
-  for (size_t i = 0; i < 10; ++i) {
-    auto polled = qp.PollCompletion();
-    ASSERT_TRUE(polled.has_value());
-    EXPECT_EQ((*polled)->id, i);
-  }
 }
 
 TEST_F(HotpathTest, EstProcessingEwmaFoldsSamples) {
-  ipc::QueuePair qp(/*id=*/3, ipc::QueueKind::kPrimary, /*ordered=*/false,
-                    /*depth_pow2=*/8, ipc::Credentials{1, 0, 0});
+  ipc::QueuePair qp(/*id=*/3, /*depth_pow2=*/8, ipc::Credentials{1, 0, 0});
   qp.UpdateEstProcessing(8000);
   EXPECT_EQ(qp.est_processing_ns.load(), 8000u);  // first sample seeds
   qp.UpdateEstProcessing(16000);
@@ -326,8 +312,6 @@ TEST_F(HotpathTest, RebalanceDuringDrainStress) {
         completed.fetch_add(1, std::memory_order_relaxed);
         if (!submit(r)) return;
       }
-      while (channel->qp->PollCompletion().has_value()) {
-      }
     }
   });
 
@@ -368,13 +352,11 @@ TEST_F(HotpathTest, RebalanceDuringDrainStress) {
   ASSERT_TRUE(runtime.Stop().ok());
 }
 
-// Client::Execute must reap its completion ring after every wait.
-// Completions are pure notifications (the client learns completion by
-// polling req->state), so left unreaped the cq fills after `depth`
-// round trips and every later completion is counted dropped by the
-// worker. A tiny depth makes the regression bite fast: 200 round
-// trips over a depth-8 ring leave it full unless each Execute drains.
-TEST_F(HotpathTest, ClientExecuteReapsCompletionRing) {
+// Completion travels in the request slot, so a round trip must leave
+// nothing behind in the client's queue. A tiny depth makes any
+// per-round-trip residue bite fast: 200 round trips over a depth-8
+// ring would wedge the client if each one left a slot occupied.
+TEST_F(HotpathTest, ClientRoundTripsOutlastTinyQueueDepth) {
   Runtime::Options options;
   options.max_workers = 1;
   options.admin_poll = 500ms;  // keep the admin quiet during the loop
@@ -394,8 +376,7 @@ TEST_F(HotpathTest, ClientExecuteReapsCompletionRing) {
     ASSERT_TRUE(client.Execute(**req, **stack).ok()) << "round trip " << i;
   }
   for (ipc::QueuePair* qp : runtime.ipc().PrimaryQueues()) {
-    EXPECT_FALSE(qp->PollCompletion().has_value())
-        << "completions left unreaped on queue " << qp->id();
+    EXPECT_EQ(qp->PendingSubmissions(), 0u) << "queue " << qp->id();
   }
   ASSERT_TRUE(runtime.Stop().ok());
 }

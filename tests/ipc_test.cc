@@ -59,12 +59,12 @@ TEST(ShMemTest, DestroyChecksOwnership) {
   ShMemManager mgr;
   auto seg = mgr.CreateSegment(kAlice, 4096);
   ASSERT_TRUE(seg.ok());
-  EXPECT_EQ(mgr.Destroy((*seg)->id(), kBob).code(),
-            StatusCode::kPermissionDenied);
-  EXPECT_TRUE(mgr.Destroy((*seg)->id(), kAlice).ok());
+  // Destroy frees the segment, so keep its id, not the pointer.
+  const SegmentId id = (*seg)->id();
+  EXPECT_EQ(mgr.Destroy(id, kBob).code(), StatusCode::kPermissionDenied);
+  EXPECT_TRUE(mgr.Destroy(id, kAlice).ok());
   EXPECT_EQ(mgr.segment_count(), 0u);
-  EXPECT_EQ(mgr.Map((*seg)->id(), kAlice).status().code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(mgr.Map(id, kAlice).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ShMemTest, SegmentAllocationBounded) {
@@ -122,21 +122,23 @@ TEST(RequestTest, OpCodeNamesDistinct) {
 // ---------- QueuePair ----------
 
 TEST(QueuePairTest, SubmitPollComplete) {
-  QueuePair qp(1, QueueKind::kPrimary, true, 16, kAlice);
+  QueuePair qp(1, 16, kAlice);
   Request req;
   EXPECT_TRUE(qp.Submit(&req));
   auto polled = qp.PollSubmission();
   ASSERT_TRUE(polled.has_value());
   EXPECT_EQ(*polled, &req);
   EXPECT_FALSE(qp.PollSubmission().has_value());
-  EXPECT_TRUE(qp.Complete(&req));
-  auto completed = qp.PollCompletion();
-  ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(*completed, &req);
+  // Completion travels in the request slot, not through the queue.
+  EXPECT_FALSE(req.IsDone());
+  req.Complete(StatusCode::kOk, 7);
+  EXPECT_TRUE(req.IsDone());
+  EXPECT_EQ(req.result_u64, 7u);
+  EXPECT_EQ(qp.PendingSubmissions(), 0u);
 }
 
 TEST(QueuePairTest, UpdatePendingBlocksSubmission) {
-  QueuePair qp(1, QueueKind::kPrimary, true, 16, kAlice);
+  QueuePair qp(1, 16, kAlice);
   qp.MarkUpdatePending();
   Request req;
   EXPECT_FALSE(qp.Submit(&req));
@@ -149,14 +151,14 @@ TEST(QueuePairTest, UpdatePendingBlocksSubmission) {
 }
 
 TEST(QueuePairTest, AckWithoutPendingIsNoop) {
-  QueuePair qp(1, QueueKind::kPrimary, true, 16, kAlice);
+  QueuePair qp(1, 16, kAlice);
   qp.AckUpdate();
   EXPECT_FALSE(qp.update_pending());
   EXPECT_FALSE(qp.update_acked());
 }
 
 TEST(QueuePairTest, DepthBounded) {
-  QueuePair qp(1, QueueKind::kPrimary, true, 4, kAlice);
+  QueuePair qp(1, 4, kAlice);
   Request reqs[5];
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(qp.Submit(&reqs[i]));
   EXPECT_FALSE(qp.Submit(&reqs[4]));
@@ -167,7 +169,7 @@ TEST(QueuePairTest, EwmaFoldDoesNotOverflowLargeSamples) {
   // Regression: the old fold computed (prev * 7 + sample) / 8, which
   // wraps uint64 once prev exceeds ~2.6e18 — a poisoned EWMA then
   // misclassifies the queue until enough small samples wash it out.
-  QueuePair qp(1, QueueKind::kPrimary, true, 16, kAlice);
+  QueuePair qp(1, 16, kAlice);
   const uint64_t huge = 3'000'000'000'000'000'000ull;  // 3e18 ns
   qp.UpdateEstProcessing(huge);
   qp.UpdateEstProcessing(huge);
@@ -199,7 +201,7 @@ TEST(QueuePairTest, EwmaMultiDrainerStressConverges) {
   // completion samples into one queue's estimate must all make
   // progress (bounded retries + relaxed fallback) and leave the
   // estimate inside the sample envelope.
-  QueuePair qp(1, QueueKind::kPrimary, true, 16, kAlice);
+  QueuePair qp(1, 16, kAlice);
   qp.UpdateEstProcessing(1500);
   constexpr int kThreads = 8;
   constexpr int kSamplesPerThread = 20000;
@@ -269,13 +271,14 @@ TEST(IpcManagerTest, NewRequestAllocatesInSegment) {
   EXPECT_EQ(req->Payload()[0], 0x42);
 }
 
-TEST(IpcManagerTest, IntermediateQueuesTracked) {
+TEST(IpcManagerTest, FindQueueResolvesConnectedQueue) {
+  // Every queue the manager hands out is a client's primary queue;
+  // FindQueue resolves it by id and misses on unknown ids.
   IpcManager ipc;
-  QueuePair* qp = ipc.CreateIntermediateQueue(false);
+  auto channel = ipc.Connect(kAlice);
+  ASSERT_TRUE(channel.ok());
+  QueuePair* qp = channel->qp;
   ASSERT_NE(qp, nullptr);
-  EXPECT_EQ(qp->kind(), QueueKind::kIntermediate);
-  EXPECT_FALSE(qp->ordered());
-  EXPECT_EQ(ipc.IntermediateQueues().size(), 1u);
   EXPECT_EQ(ipc.FindQueue(qp->id()), qp);
   EXPECT_EQ(ipc.FindQueue(9999), nullptr);
 }

@@ -3,13 +3,17 @@
 // driven through hand-built two-vertex stacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/module_registry.h"
 #include "core/stack.h"
 #include "core/stack_exec.h"
+#include "labmods/adaptive_cache.h"
 #include "labmods/block_allocator.h"
 #include "labmods/compress.h"
 #include "labmods/consistency.h"
@@ -384,6 +388,83 @@ TEST_F(ModStackTest, LruCacheEvicts) {
   auto mod = registry_.Find("lru_t3");
   ASSERT_TRUE(mod.ok());
   EXPECT_EQ(dynamic_cast<LruCacheMod*>(*mod)->resident_pages(), 4u);
+}
+
+// Two workers can drain queues bound to one stack, so one cache
+// instance sees concurrent reads. Its hit/miss counters must count
+// each read exactly once and be readable mid-run (ThreadSanitizer flags
+// any counter access outside the cache mutex).
+class CacheCounterTest : public ModStackTest {
+ protected:
+  static constexpr uint64_t kPages = 8;
+  static constexpr uint64_t kReadsPerThread = 2000;
+
+  core::Stack* MountCache(const std::string& mod, const std::string& tag) {
+    return MountYaml("mount: blk::/" + tag + "\ndag:\n  - mod: " + mod +
+                     "\n    uuid: cache_" + tag + "\n    outputs: [drv_" +
+                     tag + "]\n  - mod: kernel_driver\n    uuid: drv_" + tag +
+                     "\n");
+  }
+
+  // Writes kPages pages through `stack` (write-through fills the
+  // cache), then two threads read them back while this thread samples
+  // the hit counter.
+  template <typename Cache>
+  void ReadConcurrently(core::Stack* stack, const Cache& cache) {
+    std::vector<uint8_t> page(4096, 0x5A);
+    for (uint64_t p = 0; p < kPages; ++p) {
+      ipc::Request req;
+      req.op = ipc::OpCode::kBlkWrite;
+      req.offset = p * page.size();
+      req.length = page.size();
+      req.data = page.data();
+      core::ExecTrace trace;
+      ASSERT_TRUE(Run(stack, req, &trace).ok());
+    }
+    std::atomic<int> running{2};
+    const auto reader = [&] {
+      std::vector<uint8_t> out(page.size());
+      for (uint64_t i = 0; i < kReadsPerThread; ++i) {
+        ipc::Request req;
+        req.op = ipc::OpCode::kBlkRead;
+        req.offset = (i % kPages) * out.size();
+        req.length = out.size();
+        req.data = out.data();
+        core::ExecTrace trace;
+        EXPECT_TRUE(Run(stack, req, &trace).ok());
+      }
+      running.fetch_sub(1);
+    };
+    std::thread a(reader);
+    std::thread b(reader);
+    uint64_t sampled = 0;
+    while (running.load() > 0) sampled = std::max(sampled, cache.hits());
+    a.join();
+    b.join();
+    EXPECT_LE(sampled, 2 * kReadsPerThread);
+  }
+};
+
+TEST_F(CacheCounterTest, LruCountsEveryConcurrentHit) {
+  core::Stack* stack = MountCache("lru_cache", "lru_cc");
+  auto mod = registry_.Find("cache_lru_cc");
+  ASSERT_TRUE(mod.ok());
+  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
+  ASSERT_NE(lru, nullptr);
+  ReadConcurrently(stack, *lru);
+  EXPECT_EQ(lru->hits(), 2 * kReadsPerThread);
+  EXPECT_EQ(lru->misses(), 0u);
+}
+
+TEST_F(CacheCounterTest, AdaptiveCountsEveryConcurrentHit) {
+  core::Stack* stack = MountCache("adaptive_cache", "adaptive_cc");
+  auto mod = registry_.Find("cache_adaptive_cc");
+  ASSERT_TRUE(mod.ok());
+  auto* cache = dynamic_cast<AdaptiveCacheMod*>(*mod);
+  ASSERT_NE(cache, nullptr);
+  ReadConcurrently(stack, *cache);
+  EXPECT_EQ(cache->hits(), 2 * kReadsPerThread);
+  EXPECT_EQ(cache->misses(), 0u);
 }
 
 TEST_F(ModStackTest, PermissionsGateDeniesAndCounts) {

@@ -121,7 +121,9 @@ TEST(ModuleRegistryTest, UpgradeMigratesState) {
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(dummy->Process(req, exec).ok());
   EXPECT_EQ(dummy->messages(), 5u);
 
-  ASSERT_TRUE(registry.Upgrade("d1", 2, ctx).ok());
+  auto result = registry.UpgradeAll("dummy", 2, ctx);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->swapped, 1u);
   auto upgraded = registry.Find("d1");
   ASSERT_TRUE(upgraded.ok());
   EXPECT_EQ((*upgraded)->version(), 2u);
@@ -136,18 +138,22 @@ TEST(ModuleRegistryTest, DowngradeRejected) {
   ModuleRegistry registry(&factory);
   ModContext ctx;
   ASSERT_TRUE(registry.Instantiate("dummy", "d1", nullptr, ctx, 1).ok());
-  ASSERT_TRUE(registry.Upgrade("d1", 2, ctx).ok());
+  ASSERT_TRUE(registry.UpgradeAll("dummy", 2, ctx).ok());
   // Re-loading the same version is a legal code reload (Table I
   // upgrades the same dummy module hundreds of times).
-  EXPECT_TRUE(registry.Upgrade("d1", 2, ctx).ok());
-  // Strict downgrades are refused.
-  EXPECT_EQ(registry.Upgrade("d1", 1, ctx).code(),
+  EXPECT_TRUE(registry.UpgradeAll("dummy", 2, ctx).ok());
+  // Strict downgrades are refused, and the running version survives.
+  EXPECT_EQ(registry.UpgradeAll("dummy", 1, ctx).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.Upgrade("ghost", 2, ctx).code(), StatusCode::kNotFound);
+  auto still = registry.Find("d1");
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ((*still)->version(), 2u);
+  EXPECT_EQ(registry.UpgradeAll("ghost", 2, ctx).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(ModuleRegistryTest, UpgradePreservesCreationParams) {
-  // Regression: Upgrade used to Init the fresh instance with nullptr,
+  // Regression: upgrades used to Init the fresh instance with nullptr,
   // silently resetting every operator-configured param to its default.
   // A param-sensitive mod (lru_cache, whose StateUpdate deliberately
   // migrates only mutable state) catches it: post-upgrade capacity
@@ -169,7 +175,7 @@ TEST(ModuleRegistryTest, UpgradePreservesCreationParams) {
   ASSERT_TRUE(mod.ok());
   EXPECT_EQ(dynamic_cast<labmods::LruCacheMod*>(*mod)->capacity_pages(), 8u);
 
-  ASSERT_TRUE(registry.Upgrade("c1", 2, ctx).ok());
+  ASSERT_TRUE(registry.UpgradeAll("lru_cache", 2, ctx).ok());
   auto upgraded = registry.Find("c1");
   ASSERT_TRUE(upgraded.ok());
   auto* cache = dynamic_cast<labmods::LruCacheMod*>(*upgraded);
@@ -263,18 +269,14 @@ TEST(ModuleRegistryTest, SameVersionUpgradeIsNoop) {
   auto mod = registry.Instantiate("dummy", "d1", nullptr, ctx, 2);
   ASSERT_TRUE(mod.ok());
 
-  bool was_noop = false;
-  ASSERT_TRUE(registry.Upgrade("d1", 2, ctx, &was_noop).ok());
-  EXPECT_TRUE(was_noop);
-  // No Create/Init/StateUpdate churn: the very same instance survives.
-  auto after = registry.Find("d1");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, *mod);
-
   auto all = registry.UpgradeAll("dummy", 2, ctx);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->swapped, 0u);
   EXPECT_EQ(all->noops, 1u);
+  // No Create/Init/StateUpdate churn: the very same instance survives.
+  auto after = registry.Find("d1");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *mod);
 }
 
 TEST(ModuleRegistryTest, InstancesOfFiltersByName) {
@@ -282,9 +284,11 @@ TEST(ModuleRegistryTest, InstancesOfFiltersByName) {
   PopulateFactory(factory);
   ModuleRegistry registry(&factory);
   ModContext ctx;
-  ASSERT_TRUE(registry.Instantiate("dummy", "a", nullptr, ctx).ok());
   ASSERT_TRUE(registry.Instantiate("dummy", "b", nullptr, ctx).ok());
-  EXPECT_EQ(registry.InstancesOf("dummy").size(), 2u);
+  ASSERT_TRUE(registry.Instantiate("dummy", "a", nullptr, ctx).ok());
+  // Listings come back in sorted UUID order, whatever the insert order.
+  EXPECT_EQ(registry.InstancesOf("dummy"),
+            (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(registry.InstancesOf("ghost").empty());
 }
 

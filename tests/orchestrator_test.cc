@@ -105,8 +105,12 @@ TEST(DynamicTest, SeparatesLatencyFromComputeQueues) {
       (qid <= 4 ? has_lq : has_cq) = true;
     }
     EXPECT_FALSE(has_lq && has_cq) << "worker " << w << " mixes classes";
-    if (has_lq) EXPECT_TRUE(a.latency_dedicated[w]);
-    if (has_cq) EXPECT_FALSE(a.latency_dedicated[w]);
+    if (has_lq) {
+      EXPECT_TRUE(a.latency_dedicated[w]);
+    }
+    if (has_cq) {
+      EXPECT_FALSE(a.latency_dedicated[w]);
+    }
   }
   EXPECT_EQ(TotalAssigned(a), 8u);
 }
@@ -172,57 +176,6 @@ TEST(DynamicTest, CapacityFloorNeverOvershootsBudget) {
   EXPECT_EQ(TotalAssigned(a), 64u);
   EXPECT_LE(a.num_workers(), 16u);
   EXPECT_GE(a.num_workers(), 15u);  // saturated: nearly all commissioned
-}
-
-TEST(ShardedTest, CoversAllQueuesWithinWorkerBudget) {
-  ShardedOrchestrator sharded(8);
-  EXPECT_EQ(sharded.shards(), 8u);
-  const auto queues = MakeUniform(64, 1000, 1);
-  const Assignment a = sharded.Rebalance(queues, 32);
-  EXPECT_LE(a.num_workers(), 32u);
-  std::vector<int> seen(65, 0);
-  for (const auto& bin : a.worker_queues) {
-    for (const uint32_t qid : bin) ++seen[qid];
-  }
-  for (uint32_t qid = 1; qid <= 64; ++qid) {
-    EXPECT_EQ(seen[qid], 1) << "qid " << qid;
-  }
-}
-
-TEST(ShardedTest, SingleShardMatchesInnerPolicy) {
-  ShardedOrchestrator sharded(1);
-  DynamicOrchestrator dynamic;
-  const auto queues = MakeUniform(12, 5000, 2);
-  const Assignment s = sharded.Rebalance(queues, 8);
-  const Assignment d = dynamic.Rebalance(queues, 8);
-  EXPECT_EQ(s.worker_queues, d.worker_queues);
-  EXPECT_EQ(s.latency_dedicated, d.latency_dedicated);
-}
-
-TEST(ShardedTest, MoreShardsThanWorkersClamps) {
-  ShardedOrchestrator sharded(16);
-  const auto queues = MakeUniform(40, 1000, 1);
-  const Assignment a = sharded.Rebalance(queues, 4);
-  EXPECT_LE(a.num_workers(), 4u);
-  EXPECT_EQ(TotalAssigned(a), 40u);
-}
-
-TEST(ShardedTest, HeavyAndLightMixKeepsDedicationPerShard) {
-  ShardedOrchestrator sharded(4);
-  std::vector<QueueLoad> queues;
-  for (uint32_t i = 1; i <= 16; ++i) {
-    queues.push_back(QueueLoad{i, 3 * sim::kUs, 1});       // LQs
-  }
-  for (uint32_t i = 17; i <= 24; ++i) {
-    queues.push_back(QueueLoad{i, 20 * sim::kMs, 50});     // CQs
-  }
-  const Assignment a = sharded.Rebalance(queues, 16);
-  EXPECT_EQ(TotalAssigned(a), 24u);
-  EXPECT_LE(a.num_workers(), 16u);
-  // At least one latency-dedicated worker survives the concatenation.
-  bool any_dedicated = false;
-  for (const bool d : a.latency_dedicated) any_dedicated |= d;
-  EXPECT_TRUE(any_dedicated);
 }
 
 TEST(DynamicTest, FewerWorkersThanRoundRobinOnLightLoad) {

@@ -90,7 +90,8 @@ TEST_F(RuntimeTest, AsyncFileIoThroughWorkers) {
   auto read = fs.Read(*fd, out, 0);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(out, data);
-  EXPECT_GT(runtime_.requests_processed(), 0u);
+  // The ops took the shared-memory queue, not the inline path.
+  EXPECT_GT(runtime_.doorbell_rings(), 0u);
 }
 
 TEST_F(RuntimeTest, ManyClientsConcurrently) {

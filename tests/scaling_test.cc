@@ -216,7 +216,7 @@ TEST(ScalingSweepTest, NoContentionCliffUpTo128Workers) {
   EXPECT_LT(at128, at4 * 3.0) << "at4=" << at4 << " at128=" << at128;
 }
 
-TEST(ScalingSweepTest, ShardedRebalanceDrivesTrafficAt128Workers) {
+TEST(ScalingSweepTest, DynamicRebalanceDrivesTrafficAt128Workers) {
   sim::Environment env;
   simdev::DeviceRegistry devices(&env);
   simdev::DeviceParams params = simdev::DeviceParams::NvmeP3700(512 << 20);
@@ -230,8 +230,8 @@ TEST(ScalingSweepTest, ShardedRebalanceDrivesTrafficAt128Workers) {
   for (size_t q = 0; q < kQueues; ++q) {
     rt.RegisterQueue(static_cast<uint32_t>(q + 1), 3 * sim::kUs);
   }
-  core::ShardedOrchestrator sharded(16);
-  rt.StartRebalancer(&sharded, 1 * sim::kMs);
+  core::DynamicOrchestrator dynamic;
+  rt.StartRebalancer(&dynamic, 1 * sim::kMs);
 
   constexpr size_t kPerQueue = 4;
   std::vector<std::unique_ptr<ipc::Request>> reqs;
@@ -285,14 +285,6 @@ TEST(ScalingRebalanceTest, EpochPassIsCheapAt256Workers) {
   // means < 250ms per epoch pass. The pre-fix scan blew through this
   // by an order of magnitude.
   EXPECT_LT(ms, 5000) << ms << "ms for " << kPasses << " passes";
-
-  // The sharded wrapper must cover the same queues within budget.
-  core::ShardedOrchestrator sharded(16);
-  const core::Assignment sa = sharded.Rebalance(queues, 256);
-  size_t sharded_covered = 0;
-  for (const auto& bin : sa.worker_queues) sharded_covered += bin.size();
-  EXPECT_EQ(sharded_covered, queues.size());
-  EXPECT_LE(sa.num_workers(), 256u);
 }
 
 }  // namespace
