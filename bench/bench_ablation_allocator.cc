@@ -3,9 +3,12 @@
 // DESIGN.md calls out LabFS's per-worker allocator (with stealing) as
 // a contention-avoidance design choice; this measures what it buys
 // over the obvious global-mutex alternative under multithreaded
-// alloc/free churn.
+// alloc/free churn. Each thread keeps between kMinHeld and kMaxHeld
+// extents, so a longer run measures the same free-map state and not a
+// growing one.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <mutex>
 
 #include "common/rng.h"
@@ -35,60 +38,56 @@ class GlobalLockAllocator {
 };
 
 constexpr uint64_t kBlocks = 1 << 20;
+constexpr size_t kMinHeld = 64;
+constexpr size_t kMaxHeld = 128;
 
-void BM_PerWorkerAllocator(benchmark::State& state) {
-  static PerWorkerAllocator* alloc = nullptr;
-  if (state.thread_index() == 0) {
-    alloc = new PerWorkerAllocator(0, kBlocks,
-                                   static_cast<uint32_t>(state.threads()));
-  }
+// One alloc-or-free step of thread-local churn: below kMinHeld always
+// allocate, at kMaxHeld always free, in between toss a coin.
+template <typename AllocFn, typename FreeFn>
+void Churn(benchmark::State& state, AllocFn alloc, FreeFn free) {
   Rng rng(static_cast<uint64_t>(state.thread_index()) + 1);
-  const auto worker = static_cast<uint32_t>(state.thread_index());
   std::vector<BlockExtent> held;
   for (auto _ : state) {
-    if (held.size() < 64 || rng.Bernoulli(0.55)) {
-      auto extents = alloc->Alloc(worker, rng.Range(1, 8));
+    const bool grow = held.size() < kMinHeld ||
+                      (held.size() < kMaxHeld && rng.Bernoulli(0.5));
+    if (grow) {
+      auto extents = alloc(rng.Range(1, 8));
       if (extents.ok()) {
         for (const BlockExtent& e : *extents) held.push_back(e);
       }
     } else {
-      alloc->Free(worker, held.back());
+      free(held.back());
       held.pop_back();
     }
   }
-  for (const BlockExtent& e : held) alloc->Free(worker, e);
   if (state.thread_index() == 0) {
     state.SetItemsProcessed(state.iterations() * state.threads());
-    delete alloc;
-    alloc = nullptr;
   }
+  // The allocator outlives every thread of this run (it is replaced
+  // when the next run starts), so nothing needs handing back here.
+}
+
+void BM_PerWorkerAllocator(benchmark::State& state) {
+  static std::unique_ptr<PerWorkerAllocator> alloc;
+  if (state.thread_index() == 0) {
+    alloc = std::make_unique<PerWorkerAllocator>(
+        0, kBlocks, static_cast<uint32_t>(state.threads()));
+  }
+  const auto worker = static_cast<uint32_t>(state.thread_index());
+  Churn(
+      state, [&](uint64_t n) { return alloc->Alloc(worker, n); },
+      [&](BlockExtent e) { alloc->Free(worker, e); });
 }
 BENCHMARK(BM_PerWorkerAllocator)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_GlobalLockAllocator(benchmark::State& state) {
-  static GlobalLockAllocator* alloc = nullptr;
+  static std::unique_ptr<GlobalLockAllocator> alloc;
   if (state.thread_index() == 0) {
-    alloc = new GlobalLockAllocator(0, kBlocks);
+    alloc = std::make_unique<GlobalLockAllocator>(0, kBlocks);
   }
-  Rng rng(static_cast<uint64_t>(state.thread_index()) + 1);
-  std::vector<BlockExtent> held;
-  for (auto _ : state) {
-    if (held.size() < 64 || rng.Bernoulli(0.55)) {
-      auto extents = alloc->Alloc(rng.Range(1, 8));
-      if (extents.ok()) {
-        for (const BlockExtent& e : *extents) held.push_back(e);
-      }
-    } else {
-      alloc->Free(held.back());
-      held.pop_back();
-    }
-  }
-  for (const BlockExtent& e : held) alloc->Free(e);
-  if (state.thread_index() == 0) {
-    state.SetItemsProcessed(state.iterations() * state.threads());
-    delete alloc;
-    alloc = nullptr;
-  }
+  Churn(
+      state, [&](uint64_t n) { return alloc->Alloc(n); },
+      [&](BlockExtent e) { alloc->Free(e); });
 }
 BENCHMARK(BM_GlobalLockAllocator)->Threads(1)->Threads(2)->Threads(4);
 

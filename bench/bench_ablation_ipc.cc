@@ -15,17 +15,6 @@
 namespace labstor {
 namespace {
 
-void BM_SpscRoundTrip(benchmark::State& state) {
-  SpscRing<uint64_t> ring(1024);
-  uint64_t value = 0;
-  for (auto _ : state) {
-    ring.TryPush(value++);
-    benchmark::DoNotOptimize(ring.TryPop());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRoundTrip);
-
 void BM_MpmcRoundTrip(benchmark::State& state) {
   MpmcRing<uint64_t> ring(1024);
   uint64_t value = 0;

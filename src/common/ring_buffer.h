@@ -1,12 +1,10 @@
-// Bounded lock-free rings used as the transport inside Queue Pairs.
-//
-// SpscRing: single-producer/single-consumer, the fast path for
-// "ordered" queues which the paper requires to be drained by exactly
-// one worker.
+// The bounded lock-free ring used as the submission transport inside
+// Queue Pairs.
 //
 // MpmcRing: bounded multi-producer/multi-consumer ring (Vyukov-style
-// sequence counters), used for "unordered" queues that any worker may
-// drain and for the client-side submission of independent requests.
+// sequence counters). Clients push requests one at a time; any worker
+// the orchestrator assigns the queue to may drain it, one request or
+// a batch at a time.
 #pragma once
 
 #include <atomic>
@@ -22,81 +20,6 @@ namespace labstor {
 // Fixed 64 rather than std::hardware_destructive_interference_size:
 // the latter is ABI-unstable across compiler versions/tuning flags.
 inline constexpr size_t kCacheLineSize = 64;
-
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(size_t capacity_pow2) : mask_(capacity_pow2 - 1), slots_(capacity_pow2) {
-    assert(capacity_pow2 >= 2 && (capacity_pow2 & mask_) == 0 &&
-           "capacity must be a power of two");
-  }
-
-  bool TryPush(T value) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    const size_t tail = tail_cache_;
-    if (head - tail > mask_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head - tail_cache_ > mask_) return false;
-    }
-    slots_[head & mask_] = std::move(value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::optional<T> TryPop() {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail == head_cache_) return std::nullopt;
-    }
-    T value = std::move(slots_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return value;
-  }
-
-  // Pop up to `max` values into `out`; returns how many were taken.
-  // One tail publish for the whole batch amortizes the release store
-  // and the head refresh across every value drained.
-  size_t TryPopBatch(T* out, size_t max) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    size_t available = head_cache_ - tail;
-    if (available < max) {
-      // Refresh whenever the cached head can't fill the whole batch:
-      // same acquire-load count as refreshing only on empty, but a
-      // drain never returns a short batch while values are sitting
-      // published in the ring.
-      head_cache_ = head_.load(std::memory_order_acquire);
-      available = head_cache_ - tail;
-      if (available == 0) return 0;
-    }
-    const size_t n = available < max ? available : max;
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = std::move(slots_[(tail + i) & mask_]);
-    }
-    tail_.store(tail + n, std::memory_order_release);
-    return n;
-  }
-
-  size_t SizeApprox() const {
-    // Load tail before head: head only grows, so a later head load can
-    // never be behind the earlier tail load. The reverse order let a
-    // concurrent pop land between the loads and underflow the unsigned
-    // subtraction into a near-SIZE_MAX "size". Clamp as a backstop.
-    const size_t tail = tail_.load(std::memory_order_acquire);
-    const size_t head = head_.load(std::memory_order_acquire);
-    return head >= tail ? head - tail : 0;
-  }
-  bool EmptyApprox() const { return SizeApprox() == 0; }
-  size_t capacity() const { return mask_ + 1; }
-
- private:
-  const size_t mask_;
-  std::vector<T> slots_;
-  alignas(kCacheLineSize) std::atomic<size_t> head_{0};
-  size_t tail_cache_ = 0;  // producer-local view of tail
-  alignas(kCacheLineSize) std::atomic<size_t> tail_{0};
-  size_t head_cache_ = 0;  // consumer-local view of head
-};
 
 template <typename T>
 class MpmcRing {
@@ -189,45 +112,11 @@ class MpmcRing {
     }
   }
 
-  // Push up to `n` values from `in`; returns how many were accepted
-  // (0 when full). Mirrors TryPopBatch: one head CAS claims the run of
-  // free slots, then each slot is filled and released individually.
-  size_t TryPushBatch(T* in, size_t n) {
-    if (n == 0) return 0;
-    while (true) {
-      size_t pos = head_.load(std::memory_order_relaxed);
-      size_t k = 0;
-      while (k < n) {
-        const Slot& slot = slots_[(pos + k) & mask_];
-        const size_t seq = slot.sequence.load(std::memory_order_acquire);
-        if (static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + k) != 0) {
-          break;  // slot still owned by a lagging consumer — run ends
-        }
-        ++k;
-      }
-      if (k == 0) {
-        const Slot& slot = slots_[pos & mask_];
-        const size_t seq = slot.sequence.load(std::memory_order_acquire);
-        if (static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos) < 0) {
-          return 0;  // full
-        }
-        continue;  // lost the race to another producer; re-read head
-      }
-      if (head_.compare_exchange_weak(pos, pos + k,
-                                      std::memory_order_relaxed)) {
-        for (size_t i = 0; i < k; ++i) {
-          Slot& slot = slots_[(pos + i) & mask_];
-          slot.value = std::move(in[i]);
-          slot.sequence.store(pos + i + 1, std::memory_order_release);
-        }
-        return k;
-      }
-    }
-  }
-
   size_t SizeApprox() const {
-    // Tail first for the same reason as SpscRing::SizeApprox: head
-    // never moves backwards, so this order cannot observe tail > head.
+    // Load tail before head: head only grows, so a later head load can
+    // never be behind the earlier tail load. The reverse order let a
+    // concurrent pop land between the loads and underflow the unsigned
+    // subtraction into a near-SIZE_MAX "size". Clamp as a backstop.
     const size_t tail = tail_.load(std::memory_order_acquire);
     const size_t head = head_.load(std::memory_order_acquire);
     return head >= tail ? head - tail : 0;

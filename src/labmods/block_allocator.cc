@@ -94,18 +94,18 @@ void PerWorkerAllocator::GiveLocked(Pool& pool, BlockExtent extent) {
 Result<std::vector<BlockExtent>> PerWorkerAllocator::Alloc(uint32_t worker,
                                                            uint64_t count) {
   if (count == 0) return std::vector<BlockExtent>{};
+  Pool& own = *pools_[worker % pools_.size()];
   std::vector<BlockExtent> result;
   {
-    std::lock_guard<std::mutex> shape(pools_mu_);
-    Pool& own = *pools_[worker % pools_.size()];
     std::lock_guard<std::mutex> lock(own.mu);
     result = TakeLocked(own, count);
   }
   uint64_t got = 0;
   for (const BlockExtent& e : result) got += e.count;
   while (got < count) {
-    // Steal from the richest pool.
-    std::lock_guard<std::mutex> shape(pools_mu_);
+    // Steal from the richest pool. Another thread may drain it between
+    // this scan and the take; the take then comes up short and the
+    // loop scans again.
     Pool* richest = nullptr;
     uint64_t richest_free = 0;
     for (const auto& pool : pools_) {
@@ -117,7 +117,6 @@ Result<std::vector<BlockExtent>> PerWorkerAllocator::Alloc(uint32_t worker,
     }
     if (richest == nullptr || richest_free == 0) {
       // Roll back what we took so failed allocations do not leak.
-      Pool& own = *pools_[worker % pools_.size()];
       std::lock_guard<std::mutex> lock(own.mu);
       for (const BlockExtent& e : result) GiveLocked(own, e);
       return Status::ResourceExhausted("device out of blocks");
@@ -129,72 +128,18 @@ Result<std::vector<BlockExtent>> PerWorkerAllocator::Alloc(uint32_t worker,
       got += e.count;
       result.push_back(e);
     }
-    ++steals_;
+    steals_.fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
 
 void PerWorkerAllocator::Free(uint32_t worker, BlockExtent extent) {
-  std::lock_guard<std::mutex> shape(pools_mu_);
   Pool& pool = *pools_[worker % pools_.size()];
   std::lock_guard<std::mutex> lock(pool.mu);
   GiveLocked(pool, extent);
 }
 
-Status PerWorkerAllocator::Resize(uint32_t new_num_workers,
-                                  uint64_t steal_blocks) {
-  if (new_num_workers == 0) {
-    return Status::InvalidArgument("need at least one worker pool");
-  }
-  std::lock_guard<std::mutex> shape(pools_mu_);
-  const uint32_t old = static_cast<uint32_t>(pools_.size());
-  if (new_num_workers < old) {
-    // Decommissioned pools donate all free ranges round-robin to the
-    // survivors.
-    for (uint32_t w = new_num_workers; w < old; ++w) {
-      Pool& leaving = *pools_[w];
-      std::lock_guard<std::mutex> lock(leaving.mu);
-      uint32_t target = 0;
-      for (const auto& [start, count] : leaving.free_ranges) {
-        Pool& survivor = *pools_[target % new_num_workers];
-        std::lock_guard<std::mutex> slock(survivor.mu);
-        GiveLocked(survivor, BlockExtent{start, count});
-        ++target;
-      }
-    }
-    pools_.resize(new_num_workers);
-    return Status::Ok();
-  }
-  for (uint32_t w = old; w < new_num_workers; ++w) {
-    auto pool = std::make_unique<Pool>();
-    // New workers steal a configurable number of blocks from the
-    // richest existing pools.
-    uint64_t need = steal_blocks;
-    while (need > 0) {
-      Pool* richest = nullptr;
-      uint64_t richest_free = 0;
-      for (const auto& existing : pools_) {
-        std::lock_guard<std::mutex> lock(existing->mu);
-        if (existing->free_blocks > richest_free) {
-          richest_free = existing->free_blocks;
-          richest = existing.get();
-        }
-      }
-      if (richest == nullptr || richest_free == 0) break;
-      std::lock_guard<std::mutex> lock(richest->mu);
-      for (const BlockExtent& e : TakeLocked(*richest, need)) {
-        GiveLocked(*pool, e);
-        need -= e.count;
-      }
-      ++steals_;
-    }
-    pools_.push_back(std::move(pool));
-  }
-  return Status::Ok();
-}
-
 uint64_t PerWorkerAllocator::FreeBlocks() const {
-  std::lock_guard<std::mutex> shape(pools_mu_);
   uint64_t total = 0;
   for (const auto& pool : pools_) {
     std::lock_guard<std::mutex> lock(pool->mu);
@@ -204,15 +149,9 @@ uint64_t PerWorkerAllocator::FreeBlocks() const {
 }
 
 uint64_t PerWorkerAllocator::FreeBlocksOf(uint32_t worker) const {
-  std::lock_guard<std::mutex> shape(pools_mu_);
   const Pool& pool = *pools_[worker % pools_.size()];
   std::lock_guard<std::mutex> lock(pool.mu);
   return pool.free_blocks;
-}
-
-uint32_t PerWorkerAllocator::num_workers() const {
-  std::lock_guard<std::mutex> shape(pools_mu_);
-  return static_cast<uint32_t>(pools_.size());
 }
 
 }  // namespace labstor::labmods

@@ -2,17 +2,21 @@
 //
 //   "LabFS uses a scalable per-worker block allocator, which evenly
 //    divides device blocks among the pool of workers. Workers can
-//    steal from one another if more space is needed. If the number of
-//    workers decreases, free blocks of the decommissioned workers are
-//    assigned to running workers. If new workers are added, they will
-//    steal a (configurable) number of blocks from the other workers."
+//    steal from one another if more space is needed."
+//
+// The pools are sized once, to the runtime's worker bound, and never
+// reshaped. The paper's resize cases need no code of their own: a
+// decommissioned worker's free blocks stay reachable because any
+// worker that runs dry steals from the richest pool, and a newly
+// active worker starts with the pool it was given at startup.
 //
 // Pools hold coalescing free-range maps, so sequential workloads cost
-// O(1) memory regardless of file size. Each pool has its own lock:
-// same-worker allocations never contend, matching the paper's
-// contention-minimization claim.
+// O(1) memory regardless of file size. Each pool has its own lock and
+// nothing else is shared: same-worker allocations never contend,
+// matching the paper's contention-minimization claim.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,15 +54,9 @@ class PerWorkerAllocator {
   // Return blocks to `worker`'s pool (coalescing).
   void Free(uint32_t worker, BlockExtent extent);
 
-  // Worker-pool reconfiguration. Shrinking hands the leaving pools'
-  // free ranges to survivors; growing makes new pools steal
-  // `steal_blocks` from the richest existing pools.
-  Status Resize(uint32_t new_num_workers, uint64_t steal_blocks = 1024);
-
   uint64_t FreeBlocks() const;
   uint64_t FreeBlocksOf(uint32_t worker) const;
-  uint64_t steals() const { return steals_; }
-  uint32_t num_workers() const;
+  uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
 
  private:
   struct Pool {
@@ -71,9 +69,9 @@ class PerWorkerAllocator {
   std::vector<BlockExtent> TakeLocked(Pool& pool, uint64_t count);
   void GiveLocked(Pool& pool, BlockExtent extent);
 
-  mutable std::mutex pools_mu_;  // guards the pools_ vector shape
+  // Fixed at construction: only the pools' contents change.
   std::vector<std::unique_ptr<Pool>> pools_;
-  uint64_t steals_ = 0;
+  std::atomic<uint64_t> steals_{0};
 };
 
 }  // namespace labstor::labmods

@@ -10,55 +10,18 @@
 namespace labstor::labmods {
 
 Status LabFsMod::Init(const yaml::NodePtr& params, core::ModContext& ctx) {
-  if (ctx.devices == nullptr) {
-    return Status::FailedPrecondition("no device registry in context");
-  }
-  const std::string device_name =
-      params != nullptr ? params->GetString("device", "nvme0") : "nvme0";
-  LABSTOR_ASSIGN_OR_RETURN(device, ctx.devices->Find(device_name));
-  device_ = device;
-  workers_ = ctx.num_workers > 0 ? ctx.num_workers : 1;
-  const uint64_t log_records_per_worker =
-      params != nullptr ? params->GetUint("log_records_per_worker", 16384)
-                        : 16384;
-  // Device partitioning: several I/O systems can share one device by
-  // owning disjoint regions (the "multiple views over the same device"
-  // deployments of §III-B). Defaults to the whole device.
-  const uint64_t region_offset =
-      (params != nullptr ? params->GetUint("region_offset_mb", 0) : 0) << 20;
-  uint64_t region_size =
-      (params != nullptr ? params->GetUint("region_size_mb", 0) : 0) << 20;
-  if (region_size == 0) {
-    if (region_offset >= device_->params().capacity_bytes) {
-      return Status::InvalidArgument("region starts beyond the device");
-    }
-    region_size = device_->params().capacity_bytes - region_offset;
-  }
-  if (region_offset + region_size > device_->params().capacity_bytes) {
-    return Status::InvalidArgument("region exceeds device capacity");
-  }
-  log_ = std::make_unique<MetadataLog>(device_, region_offset, workers_,
-                                       log_records_per_worker);
-  const uint64_t log_blocks =
-      (log_->region_bytes() + kBlockSize - 1) / kBlockSize;
-  const uint64_t region_blocks = region_size / kBlockSize;
-  if (log_blocks + 16 > region_blocks) {
-    return Status::InvalidArgument("region too small for the metadata log");
-  }
-  data_first_block_ = region_offset / kBlockSize + log_blocks;
-  data_blocks_ = region_blocks - log_blocks;
-  alloc_ = std::make_unique<PerWorkerAllocator>(data_first_block_,
-                                                data_blocks_, workers_);
+  LABSTOR_ASSIGN_OR_RETURN(store, LogStore::Open(params, ctx));
+  store_ = std::move(store);
   // Log-structured placement for zoned devices: data blocks are
   // zone-appended instead of allocator-placed, so LabFS can sit on the
   // zns_driver's sequential zones. The metadata log keeps overwriting
   // its region in place — deployments put it in conventional zones.
   if (params != nullptr && params->GetBool("zns_placement", false)) {
     const uint64_t zone_bytes = params->GetUint("zone_size_mb", 4) << 20;
+    const uint64_t first = store_->data_first_block();
     placement_ = std::make_unique<ZnsPlacement>(
-        data_first_block_ * kBlockSize,
-        (data_first_block_ + data_blocks_) * kBlockSize, zone_bytes,
-        kBlockSize);
+        first * kBlockSize, (first + store_->data_blocks()) * kBlockSize,
+        zone_bytes, kBlockSize);
     if (placement_->num_zones() == 0) {
       return Status::InvalidArgument(
           "zns_placement: data region smaller than one zone");
@@ -78,11 +41,6 @@ LabFsMod::InodePtr LabFsMod::Lookup(const std::string& path) const {
   return it == shard.inodes.end() ? nullptr : it->second;
 }
 
-void LabFsMod::IndexById(const InodePtr& inode) {
-  std::lock_guard<std::mutex> lock(by_id_mu_);
-  by_id_[inode->id] = inode;
-}
-
 Result<std::pair<LabFsMod::InodePtr, bool>> LabFsMod::LookupOrCreate(
     const std::string& path, bool is_dir, const ipc::Request& req) {
   Shard& shard = shards_[ShardFor(path)];
@@ -97,7 +55,6 @@ Result<std::pair<LabFsMod::InodePtr, bool>> LabFsMod::LookupOrCreate(
   inode->prov.creator_uid = req.client_uid;
   inode->prov.creator_pid = req.client_pid;
   shard.inodes.emplace(path, inode);
-  IndexById(inode);
   return std::make_pair(inode, true);
 }
 
@@ -108,12 +65,17 @@ Status LabFsMod::EraseByPath(const std::string& path) {
   if (it == shard.inodes.end()) {
     return Status::NotFound("no file '" + path + "'");
   }
-  {
-    std::lock_guard<std::mutex> id_lock(by_id_mu_);
-    by_id_.erase(it->second->id);
-  }
   shard.inodes.erase(it);
   return Status::Ok();
+}
+
+std::vector<LabFsMod::InodePtr> LabFsMod::AllInodes() const {
+  std::vector<InodePtr> inodes;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& [path, inode] : shard.inodes) inodes.push_back(inode);
+  }
+  return inodes;
 }
 
 void LabFsMod::FreeBlock(uint32_t worker, uint64_t phys) {
@@ -123,28 +85,7 @@ void LabFsMod::FreeBlock(uint32_t worker, uint64_t phys) {
     placement_->Invalidate(phys * kBlockSize);
     return;
   }
-  alloc_->Free(worker, BlockExtent{phys, 1});
-}
-
-void LabFsMod::LogCharge(core::StackExec& exec, uint32_t worker) {
-  // Log appends are flushed asynchronously in segment-sized batches
-  // (log-structured group commit): one device write absorbs
-  // kLogFlushBatch records, and it never gates client completion.
-  constexpr uint64_t kLogFlushBatch = 32;
-  const uint64_t pending = log_charge_pending_[worker % kMaxWorkerSlots]
-                               .fetch_add(1, std::memory_order_relaxed) + 1;
-  if (pending % kLogFlushBatch == 0) {
-    exec.trace().Device(device_, simdev::IoOp::kWrite, worker % 31, 0,
-                        kLogFlushBatch * sizeof(LogRecord), /*async=*/true);
-  }
-}
-
-Status LabFsMod::AppendLog(LogRecord record, uint32_t worker,
-                           core::StackExec& exec) {
-  LABSTOR_ASSIGN_OR_RETURN(seq, log_->Append(worker, record));
-  (void)seq;
-  LogCharge(exec, worker);
-  return Status::Ok();
+  store_->allocator().Free(worker, BlockExtent{phys, 1});
 }
 
 Status LabFsMod::Process(ipc::Request& req, core::StackExec& exec) {
@@ -217,7 +158,7 @@ Status LabFsMod::DoOpen(ipc::Request& req, core::StackExec& exec) {
     record.inode_id = inode->id;
     record.a = 0;
     record.SetPath(path);
-    if (const Status st = AppendLog(record, req.worker, exec); !st.ok()) {
+    if (const Status st = store_->Append(req.worker, record, exec); !st.ok()) {
       // Roll back: an inode whose create record never made the log
       // would exist until the next crash and then silently vanish.
       (void)EraseByPath(path);
@@ -226,16 +167,16 @@ Status LabFsMod::DoOpen(ipc::Request& req, core::StackExec& exec) {
   }
   if ((req.flags & ipc::kOpenTrunc) != 0 && !created) {
     std::lock_guard<std::mutex> lock(inode->mu);
+    LogRecord record;
+    record.op = LogOp::kTruncate;
+    record.inode_id = inode->id;
+    record.a = 0;
+    LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, record, exec));
     for (uint64_t phys : inode->blocks) {
       if (phys != 0) FreeBlock(req.worker, phys);
     }
     inode->blocks.clear();
     inode->size = 0;
-    LogRecord record;
-    record.op = LogOp::kTruncate;
-    record.inode_id = inode->id;
-    record.a = 0;
-    LABSTOR_RETURN_IF_ERROR(AppendLog(record, req.worker, exec));
   }
   req.result_u64 = inode->id;
   return Status::Ok();
@@ -255,7 +196,7 @@ Status LabFsMod::EnsureBlocks(Inode& inode, uint64_t offset, uint64_t length,
     // Count the run of missing blocks and allocate it in one shot.
     uint64_t run = 0;
     while (fb + run < last && inode.blocks[fb + run] == 0) ++run;
-    LABSTOR_ASSIGN_OR_RETURN(extents, alloc_->Alloc(worker, run));
+    LABSTOR_ASSIGN_OR_RETURN(extents, store_->allocator().Alloc(worker, run));
     // Map every allocated extent into the inode BEFORE logging any of
     // them. If a log append fails partway (region full, injected EIO),
     // each block is then reachable through the inode and is returned by
@@ -280,7 +221,7 @@ Status LabFsMod::EnsureBlocks(Inode& inode, uint64_t offset, uint64_t length,
       record.a = assigned;
       record.b = extent.start;
       record.c = extent.count;
-      LABSTOR_RETURN_IF_ERROR(AppendLog(record, worker, exec));
+      LABSTOR_RETURN_IF_ERROR(store_->Append(worker, record, exec));
       assigned += extent.count;
     }
     fb += run;
@@ -418,7 +359,7 @@ Status LabFsMod::WriteZns(Inode& inode, ipc::Request& req,
     record.a = fb;
     record.b = new_phys;
     record.c = 1;
-    if (st = AppendLog(record, worker, exec); !st.ok()) break;
+    if (st = store_->Append(worker, record, exec); !st.ok()) break;
     if (old_phys != 0) placement_->Invalidate(old_phys * kBlockSize);
     consumed += chunk;
   }
@@ -453,7 +394,7 @@ Status LabFsMod::DoWrite(ipc::Request& req, core::StackExec& exec) {
     record.op = LogOp::kSize;
     record.inode_id = inode->id;
     record.a = end;
-    LABSTOR_RETURN_IF_ERROR(AppendLog(record, req.worker, exec));
+    LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, record, exec));
   }
   ++inode->prov.writes;
   req.result_u64 = req.length;
@@ -495,6 +436,13 @@ Status LabFsMod::DoUnlink(ipc::Request& req, core::StackExec& exec) {
   const std::string path(req.GetPath());
   const InodePtr inode = Lookup(path);
   if (inode == nullptr) return Status::NotFound("no file '" + path + "'");
+  // Write-ahead, here and in DoTruncate and DoOpen's O_TRUNC: the
+  // record is durable before any block is freed, so a failed append
+  // leaves the file whole.
+  LogRecord record;
+  record.op = LogOp::kUnlink;
+  record.inode_id = inode->id;
+  LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, record, exec));
   {
     std::lock_guard<std::mutex> lock(inode->mu);
     for (const uint64_t phys : inode->blocks) {
@@ -502,11 +450,7 @@ Status LabFsMod::DoUnlink(ipc::Request& req, core::StackExec& exec) {
     }
     inode->blocks.clear();
   }
-  LABSTOR_RETURN_IF_ERROR(EraseByPath(path));
-  LogRecord record;
-  record.op = LogOp::kUnlink;
-  record.inode_id = inode->id;
-  return AppendLog(record, req.worker, exec);
+  return EraseByPath(path);
 }
 
 Status LabFsMod::DoRename(ipc::Request& req, core::StackExec& exec) {
@@ -546,7 +490,7 @@ Status LabFsMod::DoRename(ipc::Request& req, core::StackExec& exec) {
   record.op = LogOp::kRename;
   record.inode_id = inode->id;
   record.SetPath(to);
-  LABSTOR_RETURN_IF_ERROR(AppendLog(record, req.worker, exec));
+  LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, record, exec));
 
   // Directory rename carries its subtree: every inode under the old
   // prefix is re-keyed (and re-logged, so replay reproduces it).
@@ -577,7 +521,7 @@ Status LabFsMod::DoRename(ipc::Request& req, core::StackExec& exec) {
       child_record.op = LogOp::kRename;
       child_record.inode_id = child->id;
       child_record.SetPath(new_path);
-      LABSTOR_RETURN_IF_ERROR(AppendLog(child_record, req.worker, exec));
+      LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, child_record, exec));
     }
   }
   return Status::Ok();
@@ -593,7 +537,7 @@ Status LabFsMod::DoMkdir(ipc::Request& req, core::StackExec& exec) {
   record.inode_id = inode->id;
   record.a = 1;
   record.SetPath(path);
-  if (const Status st = AppendLog(record, req.worker, exec); !st.ok()) {
+  if (const Status st = store_->Append(req.worker, record, exec); !st.ok()) {
     (void)EraseByPath(path);  // same rollback as DoOpen's create path
     return st;
   }
@@ -623,20 +567,19 @@ Status LabFsMod::DoTruncate(ipc::Request& req, core::StackExec& exec) {
   const InodePtr inode = Lookup(path);
   if (inode == nullptr) return Status::NotFound("no file '" + path + "'");
   const uint64_t new_size = req.offset;
-  {
-    std::lock_guard<std::mutex> lock(inode->mu);
-    const uint64_t keep_blocks = (new_size + kBlockSize - 1) / kBlockSize;
-    for (uint64_t fb = keep_blocks; fb < inode->blocks.size(); ++fb) {
-      if (inode->blocks[fb] != 0) FreeBlock(req.worker, inode->blocks[fb]);
-    }
-    if (inode->blocks.size() > keep_blocks) inode->blocks.resize(keep_blocks);
-    inode->size = new_size;
-  }
+  std::lock_guard<std::mutex> lock(inode->mu);
   LogRecord record;
   record.op = LogOp::kTruncate;
   record.inode_id = inode->id;
   record.a = new_size;
-  return AppendLog(record, req.worker, exec);
+  LABSTOR_RETURN_IF_ERROR(store_->Append(req.worker, record, exec));
+  const uint64_t keep_blocks = (new_size + kBlockSize - 1) / kBlockSize;
+  for (uint64_t fb = keep_blocks; fb < inode->blocks.size(); ++fb) {
+    if (inode->blocks[fb] != 0) FreeBlock(req.worker, inode->blocks[fb]);
+  }
+  if (inode->blocks.size() > keep_blocks) inode->blocks.resize(keep_blocks);
+  inode->size = new_size;
+  return Status::Ok();
 }
 
 Status LabFsMod::DoFsync(ipc::Request& req, core::StackExec& exec) {
@@ -652,40 +595,27 @@ Status LabFsMod::StateUpdate(core::LabMod& old) {
   if (prev == nullptr) {
     return Status::InvalidArgument("StateUpdate from incompatible mod");
   }
-  device_ = prev->device_;
-  data_first_block_ = prev->data_first_block_;
-  data_blocks_ = prev->data_blocks_;
-  alloc_ = std::move(prev->alloc_);
-  log_ = std::move(prev->log_);
+  store_ = std::move(prev->store_);
   placement_ = std::move(prev->placement_);
-  workers_ = prev->workers_;
   for (size_t i = 0; i < kShards; ++i) {
     std::scoped_lock lock(shards_[i].mu, prev->shards_[i].mu);
     shards_[i].inodes = std::move(prev->shards_[i].inodes);
-  }
-  {
-    std::scoped_lock lock(by_id_mu_, prev->by_id_mu_);
-    by_id_ = std::move(prev->by_id_);
   }
   next_inode_id_.store(prev->next_inode_id_.load());
   return Status::Ok();
 }
 
 Status LabFsMod::StateRepair() {
-  if (log_ == nullptr) return Status::Ok();  // never initialized
+  if (store_ == nullptr) return Status::Ok();  // never initialized
   // Drop all in-memory inodes and reconstruct them from the on-device
   // log — the paper's crash-consistency story, executed for real.
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.inodes.clear();
   }
-  {
-    std::lock_guard<std::mutex> lock(by_id_mu_);
-    by_id_.clear();
-  }
   uint64_t max_id = 0;
   std::unordered_map<uint64_t, InodePtr> by_id;
-  const Status replay = log_->Replay([&](const LogRecord& record) -> Status {
+  const Status replay = store_->log().Replay([&](const LogRecord& record) -> Status {
     switch (record.op) {
       case LogOp::kCreate: {
         auto inode = std::make_shared<Inode>();
@@ -749,10 +679,6 @@ Status LabFsMod::StateRepair() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.inodes[inode->path] = inode;
   }
-  {
-    std::lock_guard<std::mutex> lock(by_id_mu_);
-    by_id_ = std::move(by_id);
-  }
   next_inode_id_.store(max_id + 1);
   if (placement_ != nullptr) {
     RebuildPlacementFromInodes();
@@ -768,8 +694,7 @@ void LabFsMod::RebuildPlacementFromInodes() {
   // and RESETS a fully-dead zone, so the device's residual write
   // pointers never have to be trusted.
   placement_->Reset();
-  std::lock_guard<std::mutex> lock(by_id_mu_);
-  for (const auto& [id, inode] : by_id_) {
+  for (const InodePtr& inode : AllInodes()) {
     for (const uint64_t phys : inode->blocks) {
       if (phys != 0) placement_->MarkLive(phys * kBlockSize);
     }
@@ -779,26 +704,12 @@ void LabFsMod::RebuildPlacementFromInodes() {
 void LabFsMod::RebuildAllocatorFromInodes() {
   // Free set = data region minus every block claimed by an inode.
   std::vector<uint64_t> used;
-  {
-    std::lock_guard<std::mutex> lock(by_id_mu_);
-    for (const auto& [id, inode] : by_id_) {
-      for (const uint64_t phys : inode->blocks) {
-        if (phys != 0) used.push_back(phys);
-      }
+  for (const InodePtr& inode : AllInodes()) {
+    for (const uint64_t phys : inode->blocks) {
+      if (phys != 0) used.push_back(phys);
     }
   }
-  std::sort(used.begin(), used.end());
-  std::vector<BlockExtent> free_ranges;
-  uint64_t cursor = data_first_block_;
-  const uint64_t end = data_first_block_ + data_blocks_;
-  for (const uint64_t block : used) {
-    if (block > cursor) {
-      free_ranges.push_back(BlockExtent{cursor, block - cursor});
-    }
-    cursor = std::max(cursor, block + 1);
-  }
-  if (cursor < end) free_ranges.push_back(BlockExtent{cursor, end - cursor});
-  alloc_ = std::make_unique<PerWorkerAllocator>(free_ranges, workers_);
+  store_->RebuildAllocator(std::move(used));
 }
 
 Result<uint64_t> LabFsMod::FileSize(const std::string& path) const {
@@ -840,16 +751,15 @@ std::vector<std::string> LabFsMod::ListPaths() const {
 
 LabFsMod::BlockAudit LabFsMod::AuditBlocks() const {
   BlockAudit audit;
-  audit.data_blocks = data_blocks_;
-  audit.free_blocks = alloc_ != nullptr ? alloc_->FreeBlocks() : 0;
+  if (store_ == nullptr) return audit;
+  const uint64_t first = store_->data_first_block();
+  audit.data_blocks = store_->data_blocks();
+  audit.free_blocks = store_->allocator().FreeBlocks();
   std::vector<uint64_t> mapped;
-  {
-    std::lock_guard<std::mutex> lock(by_id_mu_);
-    for (const auto& [id, inode] : by_id_) {
-      std::lock_guard<std::mutex> inode_lock(inode->mu);
-      for (const uint64_t phys : inode->blocks) {
-        if (phys != 0) mapped.push_back(phys);
-      }
+  for (const InodePtr& inode : AllInodes()) {
+    std::lock_guard<std::mutex> inode_lock(inode->mu);
+    for (const uint64_t phys : inode->blocks) {
+      if (phys != 0) mapped.push_back(phys);
     }
   }
   std::sort(mapped.begin(), mapped.end());
@@ -858,8 +768,7 @@ LabFsMod::BlockAudit LabFsMod::AuditBlocks() const {
       ++audit.duplicate_mappings;
       continue;
     }
-    if (mapped[i] < data_first_block_ ||
-        mapped[i] >= data_first_block_ + data_blocks_) {
+    if (mapped[i] < first || mapped[i] >= first + audit.data_blocks) {
       ++audit.out_of_region;
     }
     ++audit.mapped_blocks;

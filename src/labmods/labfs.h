@@ -3,10 +3,10 @@
 // provenance tracking.
 //
 // Design properties carried over from the paper:
-//   * per-worker block allocator with stealing (PerWorkerAllocator);
-//   * per-worker metadata log on the device; inodes are NOT stored
-//     on-disk — they are reconstructed in memory by traversing the log
-//     (StateRepair does exactly this after a crash);
+//   * per-worker block allocator with stealing and per-worker metadata
+//     log on the device, both in the LogStore LabKVS also uses; inodes
+//     are NOT stored on-disk — they are reconstructed in memory by
+//     traversing the log (StateRepair does exactly this after a crash);
 //   * all inodes live in a sharded hashmap for low-contention insert/
 //     rename/delete;
 //   * provenance: creator and write/read counts recorded per inode.
@@ -22,7 +22,6 @@
 
 #include "core/labmod.h"
 #include "core/stack_exec.h"
-#include "labmods/block_allocator.h"
 #include "labmods/fslog.h"
 #include "labmods/zns_placement.h"
 
@@ -37,7 +36,7 @@ struct Provenance {
 
 class LabFsMod : public core::LabMod {
  public:
-  static constexpr uint64_t kBlockSize = 4096;
+  static constexpr uint64_t kBlockSize = LogStore::kBlockSize;
 
   LabFsMod() : LabFsMod(1) {}
   explicit LabFsMod(uint32_t version)
@@ -54,17 +53,23 @@ class LabFsMod : public core::LabMod {
   Result<Provenance> GetProvenance(const std::string& path) const;
   bool Exists(const std::string& path) const;
   size_t file_count() const;
-  uint64_t allocator_free_blocks() const { return alloc_->FreeBlocks(); }
-  uint64_t allocator_steals() const { return alloc_->steals(); }
-  uint64_t log_records() const { return log_->records_appended(); }
-  uint64_t log_torn_dropped() const { return log_->torn_records_dropped(); }
+  uint64_t allocator_free_blocks() const {
+    return store_->allocator().FreeBlocks();
+  }
+  uint64_t allocator_steals() const { return store_->allocator().steals(); }
+  uint64_t log_records() const { return store_->log().records_appended(); }
+  uint64_t log_torn_dropped() const {
+    return store_->log().torn_records_dropped();
+  }
   // Log-structured placement over a zoned namespace (zns_placement
   // param; requires a zns_driver downstream). Null in allocator mode.
   bool zns_placement_enabled() const { return placement_ != nullptr; }
   const ZnsPlacement* placement() const { return placement_.get(); }
 
   // --- DST invariant surface (src/dst) ---
-  const MetadataLog* log() const { return log_.get(); }
+  const MetadataLog* log() const {
+    return store_ != nullptr ? &store_->log() : nullptr;
+  }
   // Every path currently in the namespace, sorted (deterministic).
   std::vector<std::string> ListPaths() const;
   // Block accounting for the no-orphaned-blocks invariant: after
@@ -108,7 +113,8 @@ class LabFsMod : public core::LabMod {
                                                    bool is_dir,
                                                    const ipc::Request& req);
   Status EraseByPath(const std::string& path);
-  void IndexById(const InodePtr& inode);
+  // Every inode in the namespace, in no particular order.
+  std::vector<InodePtr> AllInodes() const;
 
   Status DoOpen(ipc::Request& req, core::StackExec& exec);
   Status DoWrite(ipc::Request& req, core::StackExec& exec);
@@ -136,31 +142,19 @@ class LabFsMod : public core::LabMod {
   // Return a physical block: to the allocator, or (placement mode) by
   // decrementing its zone's valid count.
   void FreeBlock(uint32_t worker, uint64_t phys);
-  void LogCharge(core::StackExec& exec, uint32_t worker);
-  Status AppendLog(LogRecord record, uint32_t worker, core::StackExec& exec);
   void RebuildAllocatorFromInodes();
   void RebuildPlacementFromInodes();
 
   // --- configuration/state ---
-  simdev::SimDevice* device_ = nullptr;
-  uint64_t data_first_block_ = 0;
-  uint64_t data_blocks_ = 0;
-  std::unique_ptr<PerWorkerAllocator> alloc_;
-  std::unique_ptr<MetadataLog> log_;
+  std::unique_ptr<LogStore> store_;
   std::unique_ptr<ZnsPlacement> placement_;
   // Serializes pick-target → (reset) → append → commit in WriteZns:
   // without it a worker could append into a zone between another
   // worker's activation and its reset, and lose the block.
   std::mutex zns_write_mu_;
-  uint32_t workers_ = 1;
 
   std::array<Shard, kShards> shards_;
-  mutable std::mutex by_id_mu_;
-  std::unordered_map<uint64_t, InodePtr> by_id_;
   std::atomic<uint64_t> next_inode_id_{1};
-  // Per-worker pending log records awaiting a batched flush charge.
-  static constexpr size_t kMaxWorkerSlots = 64;
-  std::array<std::atomic<uint64_t>, kMaxWorkerSlots> log_charge_pending_{};
 };
 
 class LabFsModV2 final : public LabFsMod {

@@ -3,9 +3,9 @@
 // instead of POSIX's open-modify-close, which is exactly the syscall
 // reduction Fig. 9(b) measures.
 //
-// Values are stored in device blocks from the same per-worker
-// allocator design; key metadata is logged so the store survives
-// crashes via StateRepair.
+// Values are stored in device blocks of the same LogStore LabFS uses
+// (per-worker log and allocator); key metadata is logged so the store
+// survives crashes via StateRepair.
 #pragma once
 
 #include <array>
@@ -18,14 +18,13 @@
 
 #include "core/labmod.h"
 #include "core/stack_exec.h"
-#include "labmods/block_allocator.h"
 #include "labmods/fslog.h"
 
 namespace labstor::labmods {
 
 class LabKvsMod final : public core::LabMod {
  public:
-  static constexpr uint64_t kBlockSize = 4096;
+  static constexpr uint64_t kBlockSize = LogStore::kBlockSize;
 
   LabKvsMod() : core::LabMod("labkvs", core::ModType::kKvs, 1) {}
 
@@ -36,10 +35,14 @@ class LabKvsMod final : public core::LabMod {
   sim::Time EstProcessingTime() const override { return 2 * sim::kUs; }
 
   size_t key_count() const;
-  uint64_t allocator_free_blocks() const { return alloc_->FreeBlocks(); }
+  uint64_t allocator_free_blocks() const {
+    return store_->allocator().FreeBlocks();
+  }
 
   // --- DST invariant surface (src/dst) ---
-  const MetadataLog* log() const { return log_.get(); }
+  const MetadataLog* log() const {
+    return store_ != nullptr ? &store_->log() : nullptr;
+  }
   // Size of the stored value, or NotFound. Keys are full request paths
   // ("kvs::/store/user42"), same as Put/Get see them.
   Result<uint64_t> ValueSize(const std::string& key) const;
@@ -67,20 +70,10 @@ class LabKvsMod final : public core::LabMod {
   Status DoDelete(ipc::Request& req, core::StackExec& exec);
   Status ForwardValueIo(const Value& value, ipc::Request& req,
                         core::StackExec& exec, bool is_write);
-  void LogCharge(core::StackExec& exec, uint32_t worker);
-  void RebuildAllocator();
 
-  simdev::SimDevice* device_ = nullptr;
-  uint64_t data_first_block_ = 0;
-  uint64_t data_blocks_ = 0;
-  std::unique_ptr<PerWorkerAllocator> alloc_;
-  std::unique_ptr<MetadataLog> log_;
-  uint32_t workers_ = 1;
+  std::unique_ptr<LogStore> store_;
   std::array<Shard, kShards> shards_;
   std::atomic<uint64_t> next_id_{1};
-  // Per-worker pending log records awaiting a batched flush charge.
-  static constexpr size_t kMaxWorkerSlots = 64;
-  std::array<std::atomic<uint64_t>, kMaxWorkerSlots> log_charge_pending_{};
 };
 
 }  // namespace labstor::labmods

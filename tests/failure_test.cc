@@ -391,10 +391,20 @@ TEST_F(FailureTest, FailedWriteReturnsAllBlocksToAllocator) {
             StatusCode::kResourceExhausted);
   EXPECT_GT(labfs->allocator_steals(), 0u);
 
-  // Unlink frees every block the write had claimed (its own log append
-  // also fails — the region is full — but the frees must still land).
-  (void)fs.Unlink("fs::/leak/a");
+  // Every block the write claimed is mapped into the inode, so none is
+  // stranded outside both the inode and the allocator.
+  const labmods::LabFsMod::BlockAudit audit = labfs->AuditBlocks();
+  EXPECT_TRUE(audit.Consistent());
+  EXPECT_EQ(audit.mapped_blocks, 300u);
+
+  // Unlink is write-ahead: its record cannot be logged (the region is
+  // full), so it frees nothing and the file stays. The mappings were
+  // never logged either, so replay hands every block back.
+  EXPECT_EQ(fs.Unlink("fs::/leak/a").code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(labfs->Exists("fs::/leak/a"));
+  ASSERT_TRUE(labfs->StateRepair().ok());
   EXPECT_EQ(labfs->allocator_free_blocks(), free_before);
+  EXPECT_TRUE(labfs->AuditBlocks().Consistent());
 }
 
 }  // namespace

@@ -90,23 +90,6 @@ TEST(AllocatorTest, FreeCoalesces) {
   EXPECT_EQ((*again)[0].start, 0u);
 }
 
-TEST(AllocatorTest, ResizeShrinkDonatesFreeBlocks) {
-  PerWorkerAllocator alloc(0, 400, 4);
-  ASSERT_TRUE(alloc.Resize(2).ok());
-  EXPECT_EQ(alloc.num_workers(), 2u);
-  EXPECT_EQ(alloc.FreeBlocks(), 400u);  // nothing lost
-  EXPECT_EQ(alloc.FreeBlocksOf(0) + alloc.FreeBlocksOf(1), 400u);
-}
-
-TEST(AllocatorTest, ResizeGrowStealsForNewWorkers) {
-  PerWorkerAllocator alloc(0, 400, 2);
-  ASSERT_TRUE(alloc.Resize(4, /*steal_blocks=*/50).ok());
-  EXPECT_EQ(alloc.num_workers(), 4u);
-  EXPECT_EQ(alloc.FreeBlocks(), 400u);
-  EXPECT_EQ(alloc.FreeBlocksOf(2), 50u);
-  EXPECT_EQ(alloc.FreeBlocksOf(3), 50u);
-}
-
 TEST(AllocatorTest, RebuildFromFreeRanges) {
   PerWorkerAllocator alloc({BlockExtent{10, 5}, BlockExtent{100, 20}}, 2);
   EXPECT_EQ(alloc.FreeBlocks(), 25u);

@@ -199,6 +199,10 @@ struct PolicyCase {
   std::unique_ptr<core::WorkOrchestrator> (*make)();
 };
 
+// Same reason as DeviceCase's printer: keep pointer bytes out of the
+// test names.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.name; }
+
 class PolicySweepTest
     : public ::testing::TestWithParam<std::tuple<PolicyCase, size_t, size_t>> {
 };

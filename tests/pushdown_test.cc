@@ -361,10 +361,18 @@ TEST(PushdownCrashTest, RmwChainAtomicAtEveryCrashPoint) {
                                         << sched.ReplayHint();
 }
 
-TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChain) {
+// The seed sweep runs as kSweepParts ctest entries, so that each one
+// fits its 300 s timeout under ThreadSanitizer: part p covers the seeds
+// at positions p, p + kSweepParts, ... of SeedList(). Together they
+// visit every seed and every crash point.
+constexpr size_t kSweepParts = 5;
+
+void SweepSeedsRecoverEveryAckedChain(size_t part) {
   constexpr size_t kChains = 8;
   const LabKvsAckedPutsVisible visible;
-  for (const uint64_t seed : SeedList()) {
+  const std::vector<uint64_t>& seeds = SeedList();
+  for (size_t i = part; i < seeds.size(); i += kSweepParts) {
+    const uint64_t seed = seeds[i];
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
     Schedule sched(seed);
     auto report = EnumerateCrashPoints(
@@ -386,6 +394,26 @@ TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChain) {
         << report->Summary() << "\n"
         << sched.ReplayHint();
   }
+}
+
+TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChainPart0) {
+  SweepSeedsRecoverEveryAckedChain(0);
+}
+
+TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChainPart1) {
+  SweepSeedsRecoverEveryAckedChain(1);
+}
+
+TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChainPart2) {
+  SweepSeedsRecoverEveryAckedChain(2);
+}
+
+TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChainPart3) {
+  SweepSeedsRecoverEveryAckedChain(3);
+}
+
+TEST(PushdownCrashTest, SeedSweptWorkloadRecoversEveryAckedChainPart4) {
+  SweepSeedsRecoverEveryAckedChain(4);
 }
 
 TEST(PushdownCrashTest, SameSeedReplaysByteIdentically) {
