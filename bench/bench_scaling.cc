@@ -11,9 +11,6 @@
 //     per-hw-queue serialization this PR fixed. Each point also times
 //     a real (wall-clock) orchestrator Rebalance pass at that scale —
 //     the epoch cost the galloping-search rewrite bounds.
-//   * fusion — real-mode inline sync execution of the same 4-layer
-//     chain with stack fusion on vs off: the ns/request delta is the
-//     per-hop DAG-walk overhead that fusing composes away.
 //   * device — the same low-load seeded DES workload under polled vs
 //     interrupt completion delivery (DESIGN.md §13): interrupt mode
 //     must cut the idle-poll spin (AvgBusyCores) without changing a
@@ -26,16 +23,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "common/logging.h"
-#include "core/client.h"
 #include "core/orchestrator.h"
-#include "core/runtime.h"
 #include "core/sim_runtime.h"
 #include "dst/schedule.h"
 #include "simdev/registry.h"
@@ -52,13 +46,12 @@ uint64_t NowNs() {
 
 bool Quick() { return std::getenv("BENCH_SCALING_QUICK") != nullptr; }
 
-std::string FsStackYaml(const char* mode, const char* tag) {
+std::string FsStackYaml(const char* tag) {
   std::string yaml = "mount: fs::/sw";
   yaml += tag;
-  yaml += "\nrules:\n  exec_mode: ";
-  yaml += mode;
   yaml +=
-      "\ndag:\n"
+      "\nrules:\n  exec_mode: async\n"
+      "dag:\n"
       "  - mod: labfs\n"
       "    uuid: labfs_sw";
   yaml += tag;
@@ -119,7 +112,7 @@ SweepPoint RunSweepPoint(size_t workers, size_t per_queue) {
   if (!devices.Create(params).ok()) std::abort();
   core::SimRuntime rt(env, devices, workers);
   const std::string tag = std::to_string(workers);
-  auto stack = rt.MountYaml(FsStackYaml("async", tag.c_str()));
+  auto stack = rt.MountYaml(FsStackYaml(tag.c_str()));
   if (!stack.ok()) {
     std::fprintf(stderr, "mount failed: %s\n",
                  stack.status().ToString().c_str());
@@ -182,70 +175,7 @@ SweepPoint RunSweepPoint(size_t workers, size_t per_queue) {
 }
 
 // ---------------------------------------------------------------
-// Part 2: fused vs unfused inline sync execution (real wall-clock).
-// ---------------------------------------------------------------
-
-struct FusionResult {
-  uint64_t requests = 0;
-  double fused_ns = 0;
-  double unfused_ns = 0;
-  double reduction_pct = 0;
-};
-
-FusionResult RunFusionPhase() {
-  simdev::DeviceRegistry devices(nullptr);
-  if (!devices.Create(simdev::DeviceParams::NvmeP3700(256 << 20)).ok()) {
-    std::abort();
-  }
-  core::Runtime::Options options;
-  options.max_workers = 1;
-  core::Runtime runtime(std::move(options), devices);
-  auto spec = core::StackSpec::Parse(FsStackYaml("sync", "f"));
-  if (!spec.ok()) std::abort();
-  auto stack = runtime.MountStack(*spec, ipc::Credentials{1, 0, 0});
-  if (!stack.ok()) std::abort();
-  core::Client client(runtime, ipc::Credentials{100, 1000, 1000});
-  if (!client.Connect().ok()) std::abort();
-
-  auto req = client.NewRequest(4096);
-  if (!req.ok()) std::abort();
-  ipc::Request* r = *req;
-  std::memset(r->data, 0x3C, 4096);
-  r->op = ipc::OpCode::kCreate;
-  r->SetPath("fs::/swf/x");
-  if (!client.Execute(*r, **stack).ok()) std::abort();
-
-  const auto one_write = [&] {
-    r->Reuse();
-    r->op = ipc::OpCode::kWrite;
-    r->SetPath("fs::/swf/x");
-    r->offset = 0;
-    r->length = 4096;
-    if (!client.Execute(*r, **stack).ok()) std::abort();
-  };
-  const uint64_t warmup = Quick() ? 500 : 5000;
-  const uint64_t iters = Quick() ? 5000 : 50000;
-  const auto measure = [&]() -> double {
-    for (uint64_t i = 0; i < warmup; ++i) one_write();
-    const uint64_t t0 = NowNs();
-    for (uint64_t i = 0; i < iters; ++i) one_write();
-    return static_cast<double>(NowNs() - t0) / static_cast<double>(iters);
-  };
-
-  FusionResult result;
-  result.requests = iters;
-  if (!(*stack)->is_fused()) std::abort();  // sync linear chain must fuse
-  result.fused_ns = measure();
-  runtime.ns().set_enable_fusion(false);
-  if ((*stack)->is_fused()) std::abort();
-  result.unfused_ns = measure();
-  result.reduction_pct =
-      100.0 * (result.unfused_ns - result.fused_ns) / result.unfused_ns;
-  return result;
-}
-
-// ---------------------------------------------------------------
-// Part 3: polled vs interrupt completion delivery under low load.
+// Part 2: polled vs interrupt completion delivery under low load.
 // ---------------------------------------------------------------
 
 struct DeviceModeResult {
@@ -391,8 +321,7 @@ void WriteDeviceJson(const DeviceModeResult& polled,
   (void)json.Write(path);  // BenchJson reports the path itself
 }
 
-void WriteJson(const std::vector<SweepPoint>& sweep, const FusionResult& fusion,
-               const char* path) {
+void WriteJson(const std::vector<SweepPoint>& sweep, const char* path) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -408,11 +337,7 @@ void WriteJson(const std::vector<SweepPoint>& sweep, const FusionResult& fusion,
                  p.mean_ns, p.p99_ns, p.rebalance_us,
                  i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  },\n  \"fusion\": {\"requests\": %llu, \"fused_ns\": %.1f, "
-               "\"unfused_ns\": %.1f, \"reduction_pct\": %.2f}\n}\n",
-               static_cast<unsigned long long>(fusion.requests),
-               fusion.fused_ns, fusion.unfused_ns, fusion.reduction_pct);
+  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -430,13 +355,12 @@ int main(int argc, char** argv) {
   for (const size_t workers : {4u, 16u, 64u, 128u, 256u}) {
     sweep.push_back(RunSweepPoint(workers, per_queue));
   }
-  const FusionResult fusion = RunFusionPhase();
 
   const uint64_t device_seed = labstor::dst::SeedList().front();
   const DeviceModeResult dev_polled = RunDeviceMode("polling", device_seed);
   const DeviceModeResult dev_irq = RunDeviceMode("interrupt", device_seed);
 
-  PrintHeader("Virtual-core scaling — DES sweep + stack fusion");
+  PrintHeader("Virtual-core scaling — DES sweep");
   Table table({"workers", "requests", "mean ns/req", "p99 ns/req",
                "rebalance us"});
   for (const SweepPoint& p : sweep) {
@@ -445,13 +369,6 @@ int main(int argc, char** argv) {
                   Fmt("%.1f", p.rebalance_us)});
   }
   table.Print();
-
-  PrintHeader("Stack fusion — inline sync 4-layer chain");
-  Table fused({"variant", "ns/request"});
-  fused.AddRow({"fused", Fmt("%.0f", fusion.fused_ns)});
-  fused.AddRow({"unfused", Fmt("%.0f", fusion.unfused_ns)});
-  fused.AddRow({"reduction %", Fmt("%.2f", fusion.reduction_pct)});
-  fused.Print();
 
   PrintHeader("Completion delivery — low-load polled vs interrupt");
   Table dev({"mode", "requests", "avg busy cores", "polled", "interrupts"});
@@ -462,7 +379,7 @@ int main(int argc, char** argv) {
   }
   dev.Print();
 
-  WriteJson(sweep, fusion, argc > 1 ? argv[1] : "BENCH_scaling.json");
+  WriteJson(sweep, argc > 1 ? argv[1] : "BENCH_scaling.json");
   WriteDeviceJson(dev_polled, dev_irq, device_seed,
                   argc > 2 ? argv[2] : "BENCH_device.json");
 

@@ -106,15 +106,6 @@ class LabMod {
   // Crash recovery: revalidate/rebuild state after a Runtime restart.
   virtual Status StateRepair() { return Status::Ok(); }
 
-  // May this mod run to completion inside the caller's thread without
-  // parking on external progress (ExecMode::kSync eligibility)? Stack
-  // fusion (DESIGN.md §11) composes a linear chain of sync-capable
-  // mods into one fused call chain at stack-build time; a single
-  // false vertex makes the whole stack refuse fusion. Mods that hand
-  // work to a real asynchronous engine (io_uring submission queues)
-  // must return false.
-  virtual bool SyncCapable() const { return true; }
-
   // Work Orchestrator counters: expected software processing time for
   // one request (ns), and expected end-to-end time including device.
   virtual sim::Time EstProcessingTime() const { return 1 * sim::kUs; }

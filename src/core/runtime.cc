@@ -258,9 +258,9 @@ Status Runtime::Execute(ipc::Request& req) {
   // impossible: the quiescer either sees us in flight (and waits us
   // out) or we see its gate (and wait it out); there is no
   // interleaving where an inline execution runs concurrently with the
-  // registry swap / fused-chain rebuild. The epoch-validated stack
-  // cache inside ExecuteWith then re-resolves after the gate drops,
-  // so a stale fused chain can never run.
+  // registry swap / vertex rebinding. The epoch-validated stack cache
+  // inside ExecuteWith then re-resolves after the gate drops, so a
+  // stale binding can never run.
   while (true) {
     in_flight_.fetch_add(1, std::memory_order_seq_cst);
     if (!quiescing_.load(std::memory_order_seq_cst)) break;

@@ -244,9 +244,9 @@ class Runtime {
   // requests are held back by the UPDATE_PENDING queue marks; inline
   // sync executions never cross a queue, so without this gate they
   // could slip between WaitQuiesce observing in_flight_ == 0 and the
-  // registry swap — running a stale Stack binding (or fused chain)
-  // mid-replacement. Execute() joins in_flight_ and re-checks the
-  // gate, closing the namespace-epoch validation-to-execution window.
+  // registry swap — running a stale Stack binding mid-replacement.
+  // Execute() joins in_flight_ and re-checks the gate, closing the
+  // namespace-epoch validation-to-execution window.
   std::atomic<bool> quiescing_{false};
   std::atomic<uint64_t> inline_paused_{0};
   uint64_t repaired_epoch_ = 0;

@@ -21,20 +21,6 @@ SimRuntime::SimRuntime(sim::Environment& env, simdev::DeviceRegistry& devices,
   worker_active_.assign(num_workers, true);
 }
 
-void SimRuntime::SetNumaTopology(const ipc::NumaTopology& topo,
-                                 const sim::NumaCosts& costs,
-                                 bool rehome_on_rebalance) {
-  numa_topo_ = topo;
-  numa_costs_ = costs;
-  rehome_on_rebalance_ = rehome_on_rebalance;
-  numa_enabled_ = topo.nodes > 1 && topo.cores_per_node > 0;
-  // Re-home queues registered before the topology was known.
-  for (auto& [qid, state] : queues_) {
-    state.home_node =
-        numa_topo_.NodeOfCore(static_cast<uint32_t>(state.worker));
-  }
-}
-
 Result<Stack*> SimRuntime::Mount(const StackSpec& spec) {
   return namespace_.Mount(spec, registry_, ctx_, ipc::kRuntimeCreds);
 }
@@ -54,7 +40,6 @@ void SimRuntime::RegisterQueue(uint32_t qid, sim::Time est_processing) {
   QueueState state;
   state.est_processing = est_processing;
   state.worker = qid % workers_.size();  // provisional round-robin
-  state.home_node = numa_topo_.NodeOfCore(static_cast<uint32_t>(state.worker));
   queues_[qid] = state;
 }
 
@@ -67,19 +52,6 @@ void SimRuntime::ApplyAssignment(const Assignment& assignment) {
       if (it != queues_.end()) {
         it->second.worker = w;
         worker_active_[w] = true;
-        if (numa_enabled_ && rehome_on_rebalance_) {
-          const uint32_t wnode =
-              numa_topo_.NodeOfCore(static_cast<uint32_t>(w));
-          if (wnode != it->second.home_node) {
-            // Migrate the queue's segment to the new worker's socket
-            // so its steady-state access is local again.
-            it->second.home_node = wnode;
-            ++queues_rehomed_;
-            if (Traced()) {
-              tel_->metrics().GetCounter("numa.queue.rehomed")->Inc(w);
-            }
-          }
-        }
       }
     }
   }
@@ -237,21 +209,6 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
   ++queue.arrivals_in_epoch;
   sim::Resource& worker = *workers_[queue.worker % workers_.size()];
   const size_t wid = queue.worker % workers_.size();
-  // Cross-socket queue access: a worker draining a queue whose segment
-  // lives on another node pays interconnect hops per visit (the
-  // request lines on the drain, a bare hop on the completion post).
-  sim::Time numa_drain = 0, numa_reap = 0;
-  if (numa_enabled_) {
-    const uint32_t wnode = numa_topo_.NodeOfCore(static_cast<uint32_t>(wid));
-    if (wnode != queue.home_node) {
-      numa_drain = numa_costs_.RemoteAccess(req.length);
-      numa_reap = numa_costs_.remote_hop;
-      ++remote_queue_accesses_;
-      if (Traced()) {
-        tel_->metrics().GetCounter("numa.access.remote")->Inc(wid);
-      }
-    }
-  }
   const sim::Time enqueued = env_.now();
   co_await worker.Acquire();
   --queue.backlog;
@@ -265,10 +222,10 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
     tel_->metrics().GetHistogram("ipc.queue.depth")->Record(queue.backlog, wid);
   }
   sim::Time start = env_.now();
-  co_await env_.Delay(costs_.worker_poll + numa_drain +
-                      Perturb("worker_poll") + trace.TotalSoftware());
+  co_await env_.Delay(costs_.worker_poll + Perturb("worker_poll") +
+                      trace.TotalSoftware());
   if (Traced()) {
-    emit_mod_spans(trace, start + costs_.worker_poll + numa_drain,
+    emit_mod_spans(trace, start + costs_.worker_poll,
                    static_cast<uint32_t>(wid));
   }
   busy_ns_[wid] += env_.now() - start;
@@ -299,7 +256,7 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
     co_await worker.Acquire();
     start = env_.now();
     co_await env_.Delay(costs_.worker_poll + costs_.completion_post +
-                        numa_reap + Perturb("completion"));
+                        Perturb("completion"));
     busy_ns_[wid] += env_.now() - start;
     ++worker_requests_[wid];
     // An interrupt-delivered completion woke the worker — it slept

@@ -27,7 +27,6 @@
 #include "core/orchestrator.h"
 #include "core/stack.h"
 #include "core/stack_exec.h"
-#include "ipc/numa.h"
 #include "sim/cost_model.h"
 #include "sim/environment.h"
 #include "simdev/registry.h"
@@ -76,20 +75,6 @@ class SimRuntime {
   void AttachTelemetry(telemetry::Telemetry* tel);
   telemetry::Telemetry* telemetry() const { return tel_; }
 
-  // --- NUMA (DESIGN.md §13) ---
-  // Teach the runtime the simulated socket layout. Queues are homed on
-  // the node of their assigned worker at registration; a worker on a
-  // different node pays NumaCosts per visit ("numa.access.remote").
-  // With `rehome_on_rebalance`, ApplyAssignment migrates a reassigned
-  // queue's segment to the new worker's node (counted in
-  // queues_rehomed) so steady-state access turns local again.
-  void SetNumaTopology(const ipc::NumaTopology& topo,
-                       const sim::NumaCosts& costs = sim::DefaultNumaCosts(),
-                       bool rehome_on_rebalance = false);
-  const ipc::NumaTopology& numa_topology() const { return numa_topo_; }
-  uint64_t remote_queue_accesses() const { return remote_queue_accesses_; }
-  uint64_t queues_rehomed() const { return queues_rehomed_; }
-
   // --- stats ---
   // Average number of busy cores over [0, elapsed].
   double AvgBusyCores(sim::Time elapsed) const;
@@ -111,9 +96,6 @@ class SimRuntime {
     uint64_t backlog = 0;           // submitted, not yet picked up
     uint64_t arrivals_in_epoch = 0; // since the last rebalance
     size_t worker = 0;
-    // NUMA node the queue's shared segment lives on (see
-    // SetNumaTopology); 0 while the runtime is NUMA-oblivious.
-    uint32_t home_node = 0;
   };
 
   sim::Task<void> RebalanceLoop(WorkOrchestrator* policy, sim::Time period);
@@ -157,12 +139,6 @@ class SimRuntime {
   std::vector<uint64_t> worker_irq_waits_;
   std::vector<bool> worker_active_;
   std::unordered_map<uint32_t, QueueState> queues_;
-  ipc::NumaTopology numa_topo_;
-  sim::NumaCosts numa_costs_;
-  bool numa_enabled_ = false;
-  bool rehome_on_rebalance_ = false;
-  uint64_t remote_queue_accesses_ = 0;
-  uint64_t queues_rehomed_ = 0;
   uint64_t polled_completions_ = 0;
   uint64_t interrupt_completions_ = 0;
   // Recycled ExecTrace ledgers (see AcquireTrace) and the shared

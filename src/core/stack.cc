@@ -147,10 +147,18 @@ Status StackNamespace::Validate(const StackSpec& spec) const {
       ++indegree[it->second];
     }
   }
-  // Acyclicity (Kahn) and reachability from the root (first vertex).
+  // Reachability from the root (first vertex): in a DAG every vertex
+  // is reachable from the root exactly when the root is its only
+  // vertex without inputs. Acyclicity (Kahn) below.
   if (indegree[0] != 0) {
     return Status::InvalidArgument(
         "first vertex must be the stack root (no inputs)");
+  }
+  for (size_t i = 1; i < indegree.size(); ++i) {
+    if (indegree[i] == 0) {
+      return Status::InvalidArgument("vertex '" + spec.dag[i].uuid +
+                                     "' is unreachable from the root");
+    }
   }
   std::vector<size_t> order;
   std::vector<int> degree = indegree;
@@ -216,36 +224,7 @@ Result<std::unique_ptr<Stack>> StackNamespace::Build(const StackSpec& spec,
     }
   }
   stack->root = 0;
-  Fuse(*stack);
   return stack;
-}
-
-void StackNamespace::Fuse(Stack& stack) const {
-  stack.fused.clear();
-  if (!options_.enable_fusion) return;
-  // Eligibility (DESIGN.md §11): sync exec mode (the fused chain is
-  // the inline path), a single linear root-to-terminal chain (each
-  // vertex at most one output — a fan-out would need the general
-  // Forward loop anyway), and every mod sync-capable.
-  if (stack.spec.rules.exec_mode != ExecMode::kSync) return;
-  std::vector<Stack::FusedEntry> chain;
-  chain.reserve(stack.vertices.size());
-  size_t idx = stack.root;
-  std::vector<bool> seen(stack.vertices.size(), false);
-  while (true) {
-    if (seen[idx]) return;  // cycle guard (Validate already rejects)
-    seen[idx] = true;
-    const Stack::Vertex& vertex = stack.vertices[idx];
-    if (!vertex.mod->SyncCapable()) return;
-    chain.push_back(Stack::FusedEntry{vertex.mod, idx});
-    if (vertex.outputs.empty()) break;
-    if (vertex.outputs.size() > 1) return;
-    idx = vertex.outputs[0];
-  }
-  // Off-chain vertices (disconnected or multi-input wiring) mean the
-  // chain does not cover the DAG; refuse rather than drop work.
-  if (chain.size() != stack.vertices.size()) return;
-  stack.fused = std::move(chain);
 }
 
 Result<Stack*> StackNamespace::Mount(const StackSpec& spec,
@@ -351,27 +330,9 @@ Status StackNamespace::RefreshBindings(const ModuleRegistry& registry) {
       LABSTOR_ASSIGN_OR_RETURN(mod, registry.Find(vertex.uuid));
       vertex.mod = mod;
     }
-    // Re-fuse against the fresh bindings (the upgrade's quiesce keeps
-    // executions out while the chain mutates). An upgrade that swaps
-    // in a non-SyncCapable version makes the stack refuse fusion here
-    // and fall back to the DAG walk.
-    Fuse(*stack);
   }
   BumpEpoch();
   return Status::Ok();
-}
-
-void StackNamespace::set_enable_fusion(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.enable_fusion == enabled) return;
-  options_.enable_fusion = enabled;
-  for (auto& [mount, stack] : stacks_) Fuse(*stack);
-  BumpEpoch();
-}
-
-bool StackNamespace::fusion_enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.enable_fusion;
 }
 
 std::vector<std::string> StackNamespace::Mounts() const {

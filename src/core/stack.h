@@ -67,21 +67,17 @@ struct Stack {
   std::vector<Vertex> vertices;
   size_t root = 0;
 
-  // Fused call chain (DESIGN.md §11): when the stack is sync-mode, its
-  // DAG is one linear chain, and every mod is SyncCapable, the chain
-  // is flattened at build time into execution order so StackExec
-  // dispatches by index increment — no per-vertex DAG walk, no call-
-  // stack bookkeeping, zero inter-layer queueing on the inline path.
-  // fused[i].mod mirrors vertices[fused[i].vertex].mod and is rebuilt
-  // by every Mount / Modify / RefreshBindings under the namespace
-  // lock, i.e. re-fused (or refused) under the upgrade quiesce; empty
-  // means the stack refused fusion and executes the general DAG walk.
-  struct FusedEntry {
-    LabMod* mod = nullptr;
-    size_t vertex = 0;
-  };
-  std::vector<FusedEntry> fused;
-  bool is_fused() const { return !fused.empty(); }
+  // One straight inline chain: sync exec mode and no vertex with more
+  // than one output. Validate makes every vertex reachable from the
+  // root, so such a DAG is a single path through all of them. Its only
+  // reader is perfbench's core.stack.fused flag.
+  bool is_fused() const {
+    if (exec_mode() != ExecMode::kSync) return false;
+    for (const Vertex& vertex : vertices) {
+      if (vertex.outputs.size() > 1) return false;
+    }
+    return true;
+  }
 
   ExecMode exec_mode() const { return spec.rules.exec_mode; }
 };
@@ -90,9 +86,6 @@ class StackNamespace {
  public:
   struct Options {
     size_t max_stack_length = 16;
-    // Master switch for stack fusion (A/B comparisons and the DST
-    // fused-vs-unfused identity property keep both paths honest).
-    bool enable_fusion = true;
   };
 
   StackNamespace() : StackNamespace(Options()) {}
@@ -118,18 +111,10 @@ class StackNamespace {
   Result<Stack*> FindByMount(const std::string& mount) const;
   Result<Stack*> FindById(uint32_t id) const;
 
-  // Re-resolve all vertex mod pointers (after upgrades). Also
-  // re-fuses every stack: the fused chains' raw mod pointers would
-  // otherwise dangle on the instances the upgrade just retired. The
-  // Module Manager calls this while traffic is quiesced, which is
-  // what makes mutating chains in place safe.
+  // Re-resolve all vertex mod pointers (after upgrades). The Module
+  // Manager calls this while traffic is quiesced, which is what makes
+  // rewriting the bindings in place safe.
   Status RefreshBindings(const ModuleRegistry& registry);
-
-  // Toggle fusion at runtime: re-fuses (or un-fuses) every mounted
-  // stack under the namespace lock and bumps the epoch so cached
-  // Stack pointers revalidate. Benches A/B the inline path with this.
-  void set_enable_fusion(bool enabled);
-  bool fusion_enabled() const;
 
   std::vector<std::string> Mounts() const;
   size_t size() const;
@@ -154,11 +139,6 @@ class StackNamespace {
   Result<std::unique_ptr<Stack>> Build(const StackSpec& spec,
                                        ModuleRegistry& registry,
                                        ModContext& ctx) const;
-  // (Re)derive stack.fused from the current vertex bindings; clears it
-  // when the stack is not fusion-eligible. Caller holds mu_ (or owns
-  // the stack exclusively, as Build does).
-  void Fuse(Stack& stack) const;
-
   static uint64_t NextEpoch() {
     static std::atomic<uint64_t> global{1};
     return global.fetch_add(1, std::memory_order_relaxed);

@@ -36,48 +36,18 @@ class StackExec {
     ctx_ = &ctx;
     trace_ = &trace;
     call_stack_.clear();
-    fused_pos_ = kNotFused;
   }
 
   // Pre-size the call stack (depth ≥ the deepest stack's DAG) so
   // RunVertex never grows it mid-request.
   void ReserveCallStack(size_t depth) { call_stack_.reserve(depth); }
 
-  // Run the request from the stack root. A fused stack (DESIGN.md §11)
-  // takes the flat-chain path: Forward becomes an index increment and
-  // a direct Process call, with no call-stack pushes and no per-vertex
-  // output iteration. Per-mod wall-clock spans need the vertex walk,
-  // so a real-time-telemetry dispatch falls back to the general path
-  // (sim mode reconstructs spans from the ExecTrace and stays fused).
-  Status Dispatch(ipc::Request& req) {
-    if (stack_->is_fused()) {
-      telemetry::Telemetry* tel = ctx_->telemetry;
-      if (tel == nullptr || !tel->enabled() || tel->virtual_time()) {
-        fused_pos_ = 0;
-        const Status st = stack_->fused[0].mod->Process(req, *this);
-        fused_pos_ = kNotFused;
-        return st;
-      }
-    }
-    return RunVertex(stack_->root, req);
-  }
+  // Run the request from the stack root.
+  Status Dispatch(ipc::Request& req) { return RunVertex(stack_->root, req); }
 
-  // Run the outputs of the vertex currently executing. Errors
-  // short-circuit: the first failing output wins.
+  // Run the outputs of the vertex currently executing, in declaration
+  // order. Errors short-circuit: the first failing output wins.
   Status Forward(ipc::Request& req) {
-    if (fused_pos_ != kNotFused) {
-      const size_t next = fused_pos_ + 1;
-      // Terminal vertex forwarding: the DAG walk iterates an empty
-      // output list and returns Ok — match it.
-      if (next >= stack_->fused.size()) return Status::Ok();
-      fused_pos_ = next;
-      const Status st = stack_->fused[next].mod->Process(req, *this);
-      // Restore so a mod that Forwards more than once (cache fill
-      // after a miss, FS issuing per-block ops) re-runs its own
-      // downstream, exactly like the vertex walk would.
-      fused_pos_ = next - 1;
-      return st;
-    }
     if (call_stack_.empty()) {
       return Status::Internal("Forward called outside vertex execution");
     }
@@ -90,9 +60,6 @@ class StackExec {
 
   // Does the current vertex have anywhere to forward to?
   bool HasDownstream() const {
-    if (fused_pos_ != kNotFused) {
-      return fused_pos_ + 1 < stack_->fused.size();
-    }
     return !call_stack_.empty() &&
            !stack_->vertices[call_stack_.back()].outputs.empty();
   }
@@ -101,15 +68,7 @@ class StackExec {
   ModContext& ctx() { return *ctx_; }
   ExecTrace& trace() { return *trace_; }
 
-  // The vertex currently executing (valid during Process).
-  size_t current_vertex() const {
-    if (fused_pos_ != kNotFused) return stack_->fused[fused_pos_].vertex;
-    return call_stack_.back();
-  }
-
  private:
-  static constexpr size_t kNotFused = static_cast<size_t>(-1);
-
   Status RunVertex(size_t idx, ipc::Request& req) {
     call_stack_.push_back(idx);
     Status st;
@@ -134,9 +93,6 @@ class StackExec {
   ModContext* ctx_ = nullptr;
   ExecTrace* trace_ = nullptr;
   std::vector<size_t> call_stack_;
-  // Index into stack_->fused while a fused dispatch is running;
-  // kNotFused selects the general DAG walk.
-  size_t fused_pos_ = kNotFused;
 };
 
 }  // namespace labstor::core

@@ -324,27 +324,6 @@ Status NamespaceEpochCoherenceInvariant::Check(
                                 "' does not match the registry");
       }
     }
-    // Fused-chain coherence (DESIGN.md §11): a fused stack's flat
-    // chain must have been rebuilt by the same RefreshBindings pass
-    // that re-resolved the vertices — a fused entry pointing at a
-    // pre-upgrade mod is exactly the stale-chain bug the re-fuse-
-    // under-quiesce rule exists to prevent.
-    if (stack->is_fused()) {
-      if (stack->fused.size() != stack->vertices.size()) {
-        return Status::Internal("fused chain in '" + mount + "' covers " +
-                                std::to_string(stack->fused.size()) + " of " +
-                                std::to_string(stack->vertices.size()) +
-                                " vertices");
-      }
-      for (const core::Stack::FusedEntry& entry : stack->fused) {
-        const core::Stack::Vertex& vertex = stack->vertices[entry.vertex];
-        if (entry.mod != vertex.mod) {
-          return Status::Internal("stale fused chain: entry for vertex '" +
-                                  vertex.uuid + "' in '" + mount +
-                                  "' does not match the rebound vertex");
-        }
-      }
-    }
   }
   return Status::Ok();
 }

@@ -60,6 +60,8 @@ enum class OpCode : uint16_t {
   // --- control ---
   kUpgrade,
   kDummy,
+  // Appended last so the values above keep their numbering.
+  kTxnAbort,  // journal: close the open txn unapplied (a chain step failed)
 };
 
 std::string_view OpCodeName(OpCode op);
@@ -201,6 +203,7 @@ inline std::string_view OpCodeName(OpCode op) {
     case OpCode::kTxnCommit: return "txn_commit";
     case OpCode::kUpgrade: return "upgrade";
     case OpCode::kDummy: return "dummy";
+    case OpCode::kTxnAbort: return "txn_abort";
   }
   return "?";
 }

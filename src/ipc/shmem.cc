@@ -3,13 +3,12 @@
 namespace labstor::ipc {
 
 Result<ShMemSegment*> ShMemManager::CreateSegment(const Credentials& owner,
-                                                  size_t size,
-                                                  uint32_t numa_node) {
+                                                  size_t size) {
   if (size == 0) return Status::InvalidArgument("segment size must be > 0");
   std::lock_guard<std::mutex> lock(mu_);
   const SegmentId id = next_id_++;
   Entry entry;
-  entry.segment = std::make_unique<ShMemSegment>(id, size, owner, numa_node);
+  entry.segment = std::make_unique<ShMemSegment>(id, size, owner);
   ShMemSegment* raw = entry.segment.get();
   segments_.emplace(id, std::move(entry));
   return raw;

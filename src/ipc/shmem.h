@@ -27,17 +27,12 @@ using SegmentId = uint64_t;
 
 class ShMemSegment {
  public:
-  ShMemSegment(SegmentId id, size_t size, Credentials owner,
-               uint32_t numa_node = 0)
-      : id_(id), size_(size), owner_(owner), numa_node_(numa_node),
-        arena_(size) {}
+  ShMemSegment(SegmentId id, size_t size, Credentials owner)
+      : id_(id), size_(size), owner_(owner), arena_(size) {}
 
   SegmentId id() const { return id_; }
   size_t size() const { return size_; }
   const Credentials& owner() const { return owner_; }
-  // NUMA node this segment's backing pages live on (the simulated
-  // topology's node index; 0 when placement is not NUMA-aware).
-  uint32_t numa_node() const { return numa_node_; }
 
   // Bump allocation inside the segment. Returns nullptr when the
   // segment budget is exhausted (segments are fixed-size regions).
@@ -80,18 +75,14 @@ class ShMemSegment {
   SegmentId id_;
   size_t size_;
   Credentials owner_;
-  uint32_t numa_node_;
   mutable std::mutex mu_;
   Arena arena_;
 };
 
 class ShMemManager {
  public:
-  // Creates a segment owned by `owner` (normally the Runtime) with its
-  // backing pages on `numa_node` (NUMA-oblivious callers pass nothing
-  // and land on node 0, preserving the pre-NUMA behavior).
-  Result<ShMemSegment*> CreateSegment(const Credentials& owner, size_t size,
-                                      uint32_t numa_node = 0);
+  // Creates a segment owned by `owner` (normally the Runtime).
+  Result<ShMemSegment*> CreateSegment(const Credentials& owner, size_t size);
 
   // Grant/revoke mapping rights for a pid. Only the owner (or root)
   // may change grants.

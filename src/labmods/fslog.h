@@ -42,11 +42,13 @@ enum class LogOp : uint16_t {
   kSize = 6,      // a = new size
   // Transaction markers bracketing a pushdown chain's mutating suffix
   // (inode_id = chain id). Replay applies the records between a begin
-  // and its commit atomically; an unmatched begin at the end of the
-  // scan (crash mid-chain) discards them, so a partially executed
-  // chain leaves no acked effect. Pre-txn readers ignore both ops.
+  // and its commit atomically; an abort (a step failed) or an
+  // unmatched begin at the end of the scan (crash mid-chain) discards
+  // them, so a partially executed chain leaves no acked effect.
+  // Pre-txn readers ignore all three ops.
   kTxnBegin = 7,
   kTxnCommit = 8,
+  kTxnAbort = 9,
 };
 
 struct LogRecord {

@@ -665,6 +665,7 @@ Status LabFsMod::StateRepair() {
       }
       case LogOp::kTxnBegin:
       case LogOp::kTxnCommit:
+      case LogOp::kTxnAbort:
         // Pushdown chain markers: LabFS has no chain-mutable state, so
         // its replay treats the bracket as a no-op.
         return Status::Ok();

@@ -175,12 +175,14 @@ Status LabKvsMod::Process(ipc::Request& req, core::StackExec& exec) {
       return Status::Ok();
     }
     case ipc::OpCode::kTxnBegin:
-    case ipc::OpCode::kTxnCommit: {
+    case ipc::OpCode::kTxnCommit:
+    case ipc::OpCode::kTxnAbort: {
       // Pushdown chain atomicity markers (DESIGN.md §12): append the
       // journal record and stop — markers never reach the device path.
       LogRecord record;
-      record.op = req.op == ipc::OpCode::kTxnBegin ? LogOp::kTxnBegin
-                                                   : LogOp::kTxnCommit;
+      record.op = req.op == ipc::OpCode::kTxnBegin    ? LogOp::kTxnBegin
+                  : req.op == ipc::OpCode::kTxnCommit ? LogOp::kTxnCommit
+                                                      : LogOp::kTxnAbort;
       record.inode_id = req.chain_id;
       return store_->Append(req.worker, record, exec);
     }
@@ -264,9 +266,10 @@ Status LabKvsMod::StateRepair() {
   };
   // Transaction gating (pushdown chains): records between a kTxnBegin
   // and its kTxnCommit are buffered and applied atomically at the
-  // commit; an unmatched begin at the end of the scan — the crash hit
-  // mid-chain — discards the buffered suffix, so a partially executed
-  // RMW chain either fully replays or leaves no acked effect.
+  // commit; a kTxnAbort (a chain step failed) or an unmatched begin at
+  // the end of the scan (the crash hit mid-chain) discards the buffered
+  // suffix, so a partially executed RMW chain either fully replays or
+  // leaves no acked effect.
   std::vector<LogRecord> txn_buffer;
   bool txn_open = false;
   LABSTOR_RETURN_IF_ERROR(store_->log().Replay([&](const LogRecord& record) -> Status {
@@ -280,6 +283,11 @@ Status LabKvsMod::StateRepair() {
         const Status applied = apply(buffered);
         if (!applied.ok()) return applied;
       }
+      txn_buffer.clear();
+      txn_open = false;
+      return Status::Ok();
+    }
+    if (record.op == LogOp::kTxnAbort) {
       txn_buffer.clear();
       txn_open = false;
       return Status::Ok();

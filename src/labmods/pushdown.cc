@@ -227,8 +227,14 @@ Status PushdownMod::DoExec(ipc::Request& req, core::StackExec& exec) {
     req.chain_step = static_cast<uint16_t>(steps_run);
     if (hook) hook(program.id, i);
   }
-  if (st.ok() && txn_open) {
-    st = ForwardMarker(ipc::OpCode::kTxnCommit, req, exec);
+  if (txn_open) {
+    if (st.ok()) {
+      st = ForwardMarker(ipc::OpCode::kTxnCommit, req, exec);
+    } else {
+      // Close the transaction so replay stops buffering behind it; the
+      // step's error is what the client sees, not the marker's.
+      (void)ForwardMarker(ipc::OpCode::kTxnAbort, req, exec);
+    }
   }
 
   // Restore the request and apply the chain-level completion framing.

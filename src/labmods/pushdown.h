@@ -45,7 +45,6 @@ class PushdownMod final : public core::LabMod {
   Status Init(const yaml::NodePtr& params, core::ModContext& ctx) override;
   Status Process(ipc::Request& req, core::StackExec& exec) override;
   Status StateUpdate(core::LabMod& old) override;
-  bool SyncCapable() const override { return true; }
   sim::Time EstProcessingTime() const override { return 2 * sim::kUs; }
 
   // Admin-plane registration (cluster broadcast, tools, tests) — same

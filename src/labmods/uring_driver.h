@@ -17,10 +17,6 @@ class UringDriverMod final : public DriverModBase {
  public:
   UringDriverMod() : DriverModBase("uring_driver", 1) {}
   sim::Time EstProcessingTime() const override { return 8 * sim::kUs; }
-  // Submissions park on an io_uring completion the kernel reaps at its
-  // leisure — a fused inline chain would block the client thread on
-  // it, so this driver opts the stack out of fusion.
-  bool SyncCapable() const override { return false; }
 
  protected:
   sim::Time SubmitCost(const sim::SoftwareCosts& costs,

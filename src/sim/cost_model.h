@@ -96,26 +96,4 @@ inline const NetworkCosts& DefaultNetworkCosts() {
   return costs;
 }
 
-// Intra-node NUMA cost model (DESIGN.md §13): touching a queue or
-// scratch segment homed on a different socket pays interconnect
-// traversals (UPI/QPI-class) the local case does not. Magnitudes match
-// published cross-socket DRAM penalties (~100-140 ns extra per access,
-// a few tenths of a ns per byte of cross-node streaming); the hot-path
-// charge is per queue visit, not per cacheline, so the hop constant
-// bundles the handful of request-structure lines a drain touches.
-struct NumaCosts {
-  Time remote_hop = 400;          // per remote-segment queue visit
-  double remote_ns_per_byte = 0.03;  // cross-node payload streaming
-
-  Time RemoteAccess(uint64_t payload_bytes) const {
-    return remote_hop + static_cast<Time>(remote_ns_per_byte *
-                                          static_cast<double>(payload_bytes));
-  }
-};
-
-inline const NumaCosts& DefaultNumaCosts() {
-  static const NumaCosts costs;
-  return costs;
-}
-
 }  // namespace labstor::sim

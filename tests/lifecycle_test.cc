@@ -73,19 +73,15 @@ TEST(LifecycleTest, SeedSweepHoldsInvariants) {
   }
 }
 
-TEST(LifecycleTest, ProbeStackFusesAndSurvivesUpgradeMidTraffic) {
-  // The probe stack is a sync linear chain, so the rig runs FUSED —
-  // every seed-swept lifecycle run above already exercises upgrades of
-  // a fused stack. This test pins that down explicitly: the chain is
-  // fused at mount, traffic flows, and after a centralized upgrade the
-  // re-fused chain points at the v2 instances the registry installed.
+TEST(LifecycleTest, ProbeStackSurvivesUpgradeMidTraffic) {
+  // Every seed-swept lifecycle run above upgrades the sync probe chain
+  // mid-traffic. This test pins that down explicitly: traffic flows,
+  // and after a centralized upgrade every vertex is bound to the v2
+  // instance the registry installed and no unit is lost.
   auto rig = LifecycleRig::Create();
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   auto stack = (*rig)->probe_stack();
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-  ASSERT_TRUE((*stack)->is_fused())
-      << "sync probe chain must fuse (else the sweep never covers fusion)";
-  ASSERT_EQ((*stack)->fused.size(), (*stack)->vertices.size());
 
   auto sum_before = ProbeSum(**rig);
   ASSERT_TRUE(sum_before.ok());
@@ -95,21 +91,18 @@ TEST(LifecycleTest, ProbeStackFusesAndSurvivesUpgradeMidTraffic) {
   rt.SubmitUpgrade(ProbeUpgrade(2, core::UpgradeKind::kCentralized));
   ASSERT_TRUE(rt.StepAdmin().ok());
 
-  // Re-fetch: a restart-tolerant handle, then verify chain coherence.
+  // Re-fetch: a restart-tolerant handle, then verify the bindings.
   stack = (*rig)->probe_stack();
   ASSERT_TRUE(stack.ok());
-  ASSERT_TRUE((*stack)->is_fused());
-  for (const core::Stack::FusedEntry& entry : (*stack)->fused) {
-    const core::Stack::Vertex& vertex = (*stack)->vertices[entry.vertex];
-    EXPECT_EQ(entry.mod, vertex.mod);
+  for (const core::Stack::Vertex& vertex : (*stack)->vertices) {
     auto live = rt.registry().Find(vertex.uuid);
     ASSERT_TRUE(live.ok());
-    EXPECT_EQ(entry.mod, *live);
-    EXPECT_EQ(entry.mod->version(), 2u);
+    EXPECT_EQ(vertex.mod, *live);
+    EXPECT_EQ(vertex.mod->version(), 2u);
   }
   auto sum_after = ProbeSum(**rig);
   ASSERT_TRUE(sum_after.ok());
-  EXPECT_EQ(*sum_after, 10u) << "units lost across the fused upgrade";
+  EXPECT_EQ(*sum_after, 10u) << "units lost across the upgrade";
 }
 
 TEST(LifecycleTest, ReplaysByteIdentically) {

@@ -1,6 +1,7 @@
 // Pushdown op chains (src/labmods/pushdown, DESIGN.md §12): the chain
 // DSL sandbox, the device-queue-layer interpreter (pointer chase,
-// scan+filter, compound RMW), epoch-gated re-registration, the
+// scan+filter, compound RMW), the abort marker a failed chain leaves
+// in the journal, epoch-gated re-registration, the
 // Request::Reuse stale-cursor regression, crash atomicity of mutating
 // chains at every chain-step boundary, and cluster routing of a whole
 // chain to the shard owner.
@@ -24,6 +25,7 @@
 #include "dst/rigs.h"
 #include "dst/schedule.h"
 #include "dst/workloads.h"
+#include "faultinject/faultinject.h"
 #include "ipc/chain.h"
 #include "ipc/request.h"
 #include "labmods/pushdown.h"
@@ -217,6 +219,44 @@ TEST(PushdownExecTest, RmwChainReadsModifiesAndPersists) {
   std::vector<uint8_t> got(64);
   ASSERT_TRUE(kvs->Get(key, got).ok());
   EXPECT_EQ(got, CounterValue(42, 9));  // and it is durable
+}
+
+TEST(PushdownExecTest, FailedChainClosesItsTransaction) {
+  auto rig = PushdownKvsRig::Create();
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  labmods::GenericKvs* kvs = (*rig)->kvs();
+
+  const std::string key = WorkloadKvsKey(1);
+  ASSERT_TRUE(kvs->Put(key, CounterValue(40, 9)).ok());
+  ASSERT_TRUE(
+      kvs->RegisterChain("kvs::/dst", ipc::BuildRmwChain(4, 0, 2)).ok());
+
+  // The chain's first device write is its begin marker, the second its
+  // put's size record: fail that one, so the chain fails inside its
+  // transaction.
+  faultinject::FaultInjector injector;
+  faultinject::FaultPolicy second;
+  second.trigger = faultinject::FaultPolicy::Trigger::kEveryN;
+  second.every_n = 2;
+  second.max_fires = 1;
+  injector.Arm("simdev.write.eio", second);
+  injector.Install();
+  std::vector<uint8_t> out(64);
+  EXPECT_EQ(kvs->ExecChain(4, key, out).status().code(),
+            StatusCode::kInternal);
+  injector.Uninstall();
+  EXPECT_EQ(injector.fires("simdev.write.eio"), 1u);
+
+  // A put acked after the failed chain must survive replay, and the
+  // chain's key keeps its pre-chain value.
+  const std::string other = WorkloadKvsKey(2);
+  ASSERT_TRUE(kvs->Put(other, CounterValue(7, 3)).ok());
+  ASSERT_TRUE((*rig)->labkvs()->StateRepair().ok());
+  std::vector<uint8_t> got(64);
+  ASSERT_TRUE(kvs->Get(other, got).ok());
+  EXPECT_EQ(got, CounterValue(7, 3));
+  ASSERT_TRUE(kvs->Get(key, got).ok());
+  EXPECT_EQ(got, CounterValue(40, 9));
 }
 
 TEST(PushdownExecTest, ReRegistrationIsEpochGated) {

@@ -1,9 +1,7 @@
 // Virtual-core scaling suite (DESIGN.md §11): the DES-driven
 // properties behind bench_scaling's sweep —
-//   * fused vs unfused stacks replay the same seed byte-identically
-//     (timing, ordering, and read-back state);
-//   * a lifecycle-style upgrade mid-traffic leaves fused chains
-//     coherent at high worker counts;
+//   * the sync 4-layer chain replays a seed byte-identically (timing,
+//     ordering, and read-back state);
 //   * mean request cost stays flat as the simulated pool grows 4 ->
 //     128 workers (no contention cliff);
 //   * a Rebalance pass over 1024 queues x 256 workers is cheap enough
@@ -66,17 +64,15 @@ sim::Task<void> NotedRequest(sim::Environment& env, core::SimRuntime& rt,
 // the 4-layer FS chain with per-site jitter. Returns the full event
 // trace plus the read-back bytes, so callers can compare runs for
 // byte-identity.
-std::string RunSyncScenario(uint64_t seed, bool fuse) {
+std::string RunSyncScenario(uint64_t seed) {
   Schedule sched(seed);
   sim::Environment env;
   simdev::DeviceRegistry devices(&env);
   EXPECT_TRUE(devices.Create(simdev::DeviceParams::NvmeP3700(128 << 20)).ok());
   core::SimRuntime rt(env, devices, 4);
-  rt.ns().set_enable_fusion(fuse);
   rt.SetScheduleHook(sched.MakeSimHook(20 * sim::kUs));
   auto stack = rt.MountYaml(FsStackYaml("sync"));
   EXPECT_TRUE(stack.ok()) << stack.status().ToString();
-  EXPECT_EQ((*stack)->is_fused(), fuse);
   for (uint32_t q = 1; q <= 4; ++q) rt.RegisterQueue(q, 3 * sim::kUs);
 
   constexpr size_t kFiles = 4;
@@ -128,16 +124,15 @@ std::string RunSyncScenario(uint64_t seed, bool fuse) {
   return result;
 }
 
-TEST(ScalingFusionTest, FusedAndUnfusedReplayByteIdentically) {
-  // The fusion property the DST enforces: fusing is a pure execution-
-  // strategy change. Same seed, fused vs unfused, must produce the
-  // identical virtual-time trace and identical read-back state.
+TEST(ScalingSyncTest, SyncChainReplaysByteIdentically) {
+  // Same seed, two independent runs of the sync chain under the DES:
+  // the virtual-time trace and the read-back state must be identical.
   for (const uint64_t seed : SeedList()) {
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
-    const std::string fused = RunSyncScenario(seed, true);
-    const std::string unfused = RunSyncScenario(seed, false);
-    EXPECT_EQ(fused, unfused);
-    EXPECT_FALSE(fused.empty());
+    const std::string first = RunSyncScenario(seed);
+    const std::string second = RunSyncScenario(seed);
+    EXPECT_EQ(first, second);
+    EXPECT_FALSE(first.empty());
   }
 }
 

@@ -99,6 +99,25 @@ TEST_F(StackTest, ValidateCatchesCycle) {
   EXPECT_FALSE(ns_.Validate(*spec).ok());
 }
 
+TEST_F(StackTest, ValidateRejectsVertexUnreachableFromRoot) {
+  // a -> c is a chain; b has no inputs, so it would be instantiated and
+  // never run.
+  auto spec = StackSpec::Parse(
+      "mount: fs::/a\n"
+      "dag:\n"
+      "  - mod: noop_sched\n"
+      "    uuid: a\n"
+      "    outputs: [c]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: b\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: c\n");
+  ASSERT_TRUE(spec.ok());
+  const Status st = ns_.Validate(*spec);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("'b'"), std::string::npos) << st.ToString();
+}
+
 TEST_F(StackTest, ValidateEnforcesMaxLength) {
   StackNamespace tiny(StackNamespace::Options{.max_stack_length = 2});
   auto spec = StackSpec::Parse(kFullStackYaml);
@@ -120,6 +139,37 @@ TEST_F(StackTest, MountBuildsAndWiresDag) {
   // Mods landed in the registry under their UUIDs.
   EXPECT_TRUE(registry_.Has("fs1"));
   EXPECT_TRUE(registry_.Has("drv1"));
+}
+
+TEST_F(StackTest, IsFusedMeansOneSyncChain) {
+  const auto mount = [&](const std::string& yaml) -> Stack* {
+    auto spec = StackSpec::Parse(yaml);
+    EXPECT_TRUE(spec.ok());
+    auto stack = ns_.Mount(*spec, registry_, ctx_, alice_);
+    EXPECT_TRUE(stack.ok()) << stack.status().ToString();
+    return *stack;
+  };
+  EXPECT_TRUE(mount(kFullStackYaml)->is_fused());
+  EXPECT_FALSE(mount("mount: ctl::/async\n"
+                     "dag:\n"
+                     "  - mod: dummy\n"
+                     "    uuid: as_a\n"
+                     "    outputs: [as_b]\n"
+                     "  - mod: dummy\n"
+                     "    uuid: as_b\n")
+                   ->is_fused());
+  EXPECT_FALSE(mount("mount: ctl::/fan\n"
+                     "rules:\n"
+                     "  exec_mode: sync\n"
+                     "dag:\n"
+                     "  - mod: dummy\n"
+                     "    uuid: fan_root\n"
+                     "    outputs: [fan_l, fan_r]\n"
+                     "  - mod: dummy\n"
+                     "    uuid: fan_l\n"
+                     "  - mod: dummy\n"
+                     "    uuid: fan_r\n")
+                   ->is_fused());
 }
 
 TEST_F(StackTest, MountRejectsIncompatibleEdge) {
