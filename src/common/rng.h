@@ -64,21 +64,39 @@ class Rng {
   // synthetic databases"); theta in (0, 1).
   uint64_t Zipf(uint64_t n, double theta) {
     if (n <= 1) return 0;
-    const double zetan = ZetaApprox(n, theta);
-    const double alpha = 1.0 / (1.0 - theta);
-    const double eta = (1.0 - std::pow(2.0 / static_cast<double>(n),
-                                       1.0 - theta)) /
-                       (1.0 - ZetaApprox(2, theta) / zetan);
+    if (n != zipf_.n || theta != zipf_.theta) {
+      // zeta(n) takes up to 1,024 pow() calls: compute it and the
+      // constants that follow from it once per (n, theta), not per
+      // draw. Same expressions, so the draws are unchanged.
+      zipf_.n = n;
+      zipf_.theta = theta;
+      zipf_.zetan = ZetaApprox(n, theta);
+      zipf_.alpha = 1.0 / (1.0 - theta);
+      zipf_.eta = (1.0 - std::pow(2.0 / static_cast<double>(n),
+                                  1.0 - theta)) /
+                  (1.0 - ZetaApprox(2, theta) / zipf_.zetan);
+      zipf_.rank1_bound = 1.0 + std::pow(0.5, theta);
+    }
+    const double eta = zipf_.eta;
     const double u = NextDouble();
-    const double uz = u * zetan;
+    const double uz = u * zipf_.zetan;
     if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+    if (uz < zipf_.rank1_bound) return 1;
     const auto rank = static_cast<uint64_t>(
-        static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+        static_cast<double>(n) * std::pow(eta * u - eta + 1.0, zipf_.alpha));
     return rank >= n ? n - 1 : rank;
   }
 
  private:
+  struct ZipfConstants {
+    uint64_t n = 0;  // 0: nothing cached yet
+    double theta = 0.0;
+    double zetan = 0.0;
+    double alpha = 0.0;
+    double eta = 0.0;
+    double rank1_bound = 0.0;  // u * zetan below this draws rank 1
+  };
+
   static double ZetaApprox(uint64_t n, double theta) {
     // Sample the harmonic sum; exact for small n, approximated by the
     // integral for large n. Popularity skew does not need digit-exact
@@ -100,6 +118,7 @@ class Rng {
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
   uint64_t state_[4];
+  ZipfConstants zipf_;
 };
 
 }  // namespace labstor

@@ -9,6 +9,8 @@ Status Client::Connect() {
   auto channel = runtime_.ipc().Connect(creds_);
   if (!channel.ok()) return channel.status();
   channel_ = *channel;
+  slot_ = (channel_.qp->id() - 1) %
+          std::max<uint32_t>(runtime_.mod_context().num_workers, 1);
   connect_epoch_ = runtime_.ipc().epoch();
   return Status::Ok();
 }
@@ -34,6 +36,7 @@ Status Client::Execute(ipc::Request& req, Stack& stack) {
   req.stack_id = stack.id;
   if (stack.exec_mode() == ExecMode::kSync) {
     // Decentralized: no IPC, no Runtime involvement.
+    req.worker = slot_;
     return runtime_.Execute(req);
   }
   LABSTOR_RETURN_IF_ERROR(SubmitWithBackpressure(req));

@@ -39,9 +39,16 @@ class Client {
         retry_(retry),
         rng_(Rng(creds.pid ^ 0x6661756C74ULL)) {}  // per-client jitter stream
 
-  // Handshake over the (simulated) UNIX domain socket.
+  // Handshake over the (simulated) UNIX domain socket. Also takes the
+  // client's log-and-allocator slot: its queue id minus 1, modulo the
+  // runtime's worker bound, so the first client gets slot 0 and the
+  // next ones the slots after it.
   Status Connect();
   bool connected() const { return channel_.qp != nullptr; }
+  // The worker slot that sync execution stamps into req.worker, so that
+  // LabFS and LabKVS append to this slot's log and allocate from its
+  // pool, and sync clients do not serialise on slot 0.
+  uint32_t slot() const { return slot_; }
   const ipc::Credentials& creds() const { return creds_; }
 
   // Fork/execve support: drop the channel and establish a fresh one
@@ -58,7 +65,8 @@ class Client {
   }
 
   // Executes `req` against `stack` honoring its exec mode:
-  //   * sync:  DAG runs inline in this thread (decentralized design);
+  //   * sync:  DAG runs inline in this thread (decentralized design),
+  //     as worker slot();
   //   * async: submit to the primary queue, poll for completion, and
   //     run the crash-recovery protocol if the Runtime dies.
   Status Execute(ipc::Request& req, Stack& stack);
@@ -86,6 +94,7 @@ class Client {
   Rng rng_;
   uint64_t retries_ = 0;
   ipc::ClientChannel channel_;
+  uint32_t slot_ = 0;
   uint64_t connect_epoch_ = 0;
 };
 

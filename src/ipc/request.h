@@ -93,8 +93,10 @@ struct Request {
   // Hardware queue chosen by the I/O scheduler mod; consumed by the
   // driver mod.
   uint32_t channel = 0;
-  // Worker executing this request (feeds LabFS's per-worker block
-  // allocator). Set by the runtime worker / sync-mode dispatcher.
+  // Worker slot executing this request: picks the log slot and block
+  // allocator pool LabFS and LabKVS use. A runtime worker sets its own
+  // index; on a sync stack Client::Execute sets the client's slot, so
+  // concurrent sync clients append to different log slots.
   uint32_t worker = 0;
   // Submission timestamp on the runtime's telemetry epoch clock
   // (0 = not stamped). The draining worker turns it into queue-wait

@@ -13,7 +13,10 @@
 // Pools hold coalescing free-range maps, so sequential workloads cost
 // O(1) memory regardless of file size. Each pool has its own lock and
 // nothing else is shared: same-worker allocations never contend,
-// matching the paper's contention-minimization claim.
+// matching the paper's contention-minimization claim. The `worker`
+// argument is req.worker: a runtime worker's index, or on a sync stack
+// the slot the client took at Connect, so sync clients allocate from
+// different pools too.
 #pragma once
 
 #include <atomic>

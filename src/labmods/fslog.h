@@ -6,11 +6,15 @@
 // inodes in-memory by traversing the log." LabKVS is "similarly
 // designed to LabFS", so both keep exactly this on the device.
 //
-// Each worker owns a contiguous log region on the device and appends
-// fixed-size records; Replay() scans all regions, merges records by
-// sequence number, and hands them to the filesystem to rebuild its
-// in-memory state — which is exactly what StateRepair does after a
-// Runtime crash.
+// Each worker slot owns a contiguous log region on the device and
+// appends fixed-size records; Replay() scans all regions, merges
+// records by sequence number, and hands them to the filesystem to
+// rebuild its in-memory state — which is exactly what StateRepair does
+// after a Runtime crash. The slot is req.worker: a runtime worker's
+// index on an async stack, the client's slot (Client::slot()) on a
+// sync one, so concurrent sync clients append under different locks.
+// Each record carries a CRC-32 (common/crc32.h, table-driven), computed
+// inside the slot's lock on append and checked on replay.
 #pragma once
 
 #include <array>

@@ -56,6 +56,9 @@ class LabFsMod : public core::LabMod {
   uint64_t allocator_free_blocks() const {
     return store_->allocator().FreeBlocks();
   }
+  uint64_t allocator_free_blocks_of(uint32_t worker) const {
+    return store_->allocator().FreeBlocksOf(worker);
+  }
   uint64_t allocator_steals() const { return store_->allocator().steals(); }
   uint64_t log_records() const { return store_->log().records_appended(); }
   uint64_t log_torn_dropped() const {

@@ -11,6 +11,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace labstor::simdev {
@@ -36,8 +37,16 @@ class SparseStore {
     std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages;
   };
 
+  // A hash of the page's 16-page run, not page_index % kShards: LabFS
+  // and LabKVS usually start each worker's log slot and allocator pool
+  // a multiple of 16 pages apart, so with the modulo those workers' hot
+  // pages shared shard locks. Runs rather than single pages keep
+  // consecutive pages (a log tail, a file's blocks) in one shard's map;
+  // hashing single pages measured slower on both real-mode benchmark
+  // workloads (DESIGN.md §11).
+  static constexpr uint64_t kRunPages = 16;
   Shard& ShardFor(uint64_t page_index) const {
-    return shards_[page_index % kShards];
+    return shards_[HashBucket(page_index / kRunPages, kShards)];
   }
 
   uint64_t capacity_;

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <list>
 #include <numeric>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/module_registry.h"
 #include "core/stack.h"
@@ -373,10 +375,150 @@ TEST_F(ModStackTest, LruCacheEvicts) {
   EXPECT_EQ(dynamic_cast<LruCacheMod*>(*mod)->resident_pages(), 4u);
 }
 
+// The LRU's rule, modelled independently: min(16, capacity) shards,
+// HashBucket of the page index picks one, the capacity is split evenly
+// with the remainder on the first shards, and each shard evicts its
+// least recently used page. A read hits only when all its pages are
+// resident. Hit, miss fill and write each touch the request's pages in
+// order (refresh a resident page, insert a missing one).
+class LruModel {
+ public:
+  explicit LruModel(uint64_t capacity)
+      : shards_(std::min<uint64_t>(16, capacity)) {
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      shards_[i].capacity =
+          capacity / shards_.size() + (i < capacity % shards_.size() ? 1 : 0);
+    }
+  }
+  void Touch(uint64_t page) {
+    Shard& shard = shards_[HashBucket(page, shards_.size())];
+    const auto it = std::find(shard.lru.begin(), shard.lru.end(), page);
+    if (it != shard.lru.end()) {
+      shard.lru.erase(it);
+    } else if (shard.lru.size() == shard.capacity) {
+      shard.lru.pop_back();
+    }
+    shard.lru.push_front(page);
+  }
+  bool Resident(uint64_t page) const {
+    const Shard& shard = shards_[HashBucket(page, shards_.size())];
+    return std::find(shard.lru.begin(), shard.lru.end(), page) !=
+           shard.lru.end();
+  }
+  size_t resident() const {
+    size_t total = 0;
+    for (const Shard& shard : shards_) total += shard.lru.size();
+    return total;
+  }
+
+ private:
+  struct Shard {
+    size_t capacity = 0;
+    std::list<uint64_t> lru;  // front = most recent
+  };
+  std::vector<Shard> shards_;
+};
+
+class LruSemanticsTest : public ModStackTest,
+                         public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  static constexpr uint64_t kPage = 4096;
+  // Page `page` at write `version`; version 0 is the device's zeros.
+  static void Fill(uint8_t* out, uint64_t page, uint32_t version) {
+    if (version == 0) {
+      std::memset(out, 0, kPage);
+      return;
+    }
+    for (uint64_t i = 0; i < kPage; ++i) {
+      out[i] = static_cast<uint8_t>(page * 31 + version * 7 + i);
+    }
+    std::memcpy(out, &page, sizeof(page));
+    std::memcpy(out + sizeof(page), &version, sizeof(version));
+  }
+};
+
+// A seeded single-threaded stream of 1-3 page writes and reads over
+// twice the capacity, half of it aimed at a hot set: every read
+// returns the last bytes written, hits or misses exactly when the
+// model does, and the resident set never exceeds the capacity.
+TEST_P(LruSemanticsTest, SeededStreamMatchesShardedLruModel) {
+  const uint64_t capacity = GetParam();
+  const std::string tag = "lru_sem" + std::to_string(capacity);
+  core::Stack* stack = MountYaml(
+      "mount: blk::/" + tag + "\ndag:\n  - mod: lru_cache\n    uuid: " +
+      tag + "\n    params:\n      capacity_pages: " +
+      std::to_string(capacity) + "\n    outputs: [drv_" + tag +
+      "]\n  - mod: kernel_driver\n    uuid: drv_" + tag + "\n");
+  auto mod = registry_.Find(tag);
+  ASSERT_TRUE(mod.ok());
+  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
+  ASSERT_NE(lru, nullptr);
+
+  const uint64_t universe = 2 * capacity + 5;
+  const uint64_t hot = capacity / 2 + 1;
+  const uint64_t ops = std::max<uint64_t>(3000, 6 * capacity);
+  LruModel model(capacity);
+  std::vector<uint32_t> version(universe, 0);
+  std::vector<uint8_t> buf(3 * kPage);
+  std::vector<uint8_t> want(kPage);
+  Rng rng(capacity * 7919 + 1);
+  uint64_t reads = 0;
+  uint64_t model_hits = 0;
+  for (uint64_t op = 0; op < ops; ++op) {
+    const uint64_t span = rng.Bernoulli(0.1) ? rng.Range(2, 3) : 1;
+    const uint64_t first = rng.Bernoulli(0.5)
+                               ? rng.Uniform(hot)
+                               : rng.Uniform(universe - span + 1);
+    ipc::Request req;
+    req.offset = first * kPage;
+    req.length = span * kPage;
+    req.data = buf.data();
+    core::ExecTrace trace;
+    if (rng.Bernoulli(0.4)) {
+      for (uint64_t p = 0; p < span; ++p) {
+        Fill(buf.data() + p * kPage, first + p, ++version[first + p]);
+      }
+      req.op = ipc::OpCode::kBlkWrite;
+      ASSERT_TRUE(Run(stack, req, &trace).ok());
+    } else {
+      bool hit = true;
+      for (uint64_t p = 0; p < span; ++p) hit = hit && model.Resident(first + p);
+      const uint64_t hits_before = lru->hits();
+      req.op = ipc::OpCode::kBlkRead;
+      ASSERT_TRUE(Run(stack, req, &trace).ok());
+      ++reads;
+      model_hits += hit ? 1 : 0;
+      ASSERT_EQ(lru->hits() - hits_before, hit ? 1u : 0u)
+          << "op " << op << " reads pages " << first << ".." << first + span - 1;
+      ASSERT_EQ(req.result_u64, req.length);
+      for (uint64_t p = 0; p < span; ++p) {
+        Fill(want.data(), first + p, version[first + p]);
+        ASSERT_EQ(std::memcmp(buf.data() + p * kPage, want.data(), kPage), 0)
+            << "op " << op << " page " << first + p << " version "
+            << version[first + p];
+      }
+    }
+    for (uint64_t p = 0; p < span; ++p) model.Touch(first + p);
+    ASSERT_EQ(lru->resident_pages(), model.resident()) << "op " << op;
+    ASSERT_LE(lru->resident_pages(), capacity);
+  }
+  EXPECT_EQ(lru->hits() + lru->misses(), reads);
+  EXPECT_EQ(lru->hits(), model_hits);
+  // The stream exercised both outcomes.
+  EXPECT_GT(model_hits, 0u);
+  EXPECT_LT(model_hits, reads);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, LruSemanticsTest,
+                         ::testing::Values(1, 3, 16, 17, 4096),
+                         [](const auto& capacity) {
+                           return "cap" + std::to_string(capacity.param);
+                         });
+
 // Two workers can drain queues bound to one stack, so one cache
 // instance sees concurrent reads. Its hit/miss counters must count
 // each read exactly once and be readable mid-run (ThreadSanitizer flags
-// any counter access outside the cache mutex).
+// any counter access outside the cache's locks).
 class CacheCounterTest : public ModStackTest {
  protected:
   static constexpr uint64_t kPages = 8;
@@ -389,13 +531,15 @@ class CacheCounterTest : public ModStackTest {
                      "\n");
   }
 
-  // Writes kPages pages through `stack` (write-through fills the
-  // cache), then two threads read them back while this thread samples
-  // the hit counter.
+  // Writes 2 * kPages pages through `stack` (write-through fills the
+  // cache), then two threads read kPages of them back while this
+  // thread samples the hit counter: both the first kPages, or with
+  // `disjoint` one thread the first kPages and the other the rest.
   template <typename Cache>
-  void ReadConcurrently(core::Stack* stack, const Cache& cache) {
+  void ReadConcurrently(core::Stack* stack, const Cache& cache,
+                        bool disjoint = false) {
     std::vector<uint8_t> page(4096, 0x5A);
-    for (uint64_t p = 0; p < kPages; ++p) {
+    for (uint64_t p = 0; p < 2 * kPages; ++p) {
       ipc::Request req;
       req.op = ipc::OpCode::kBlkWrite;
       req.offset = p * page.size();
@@ -405,12 +549,12 @@ class CacheCounterTest : public ModStackTest {
       ASSERT_TRUE(Run(stack, req, &trace).ok());
     }
     std::atomic<int> running{2};
-    const auto reader = [&] {
+    const auto reader = [&](uint64_t first_page) {
       std::vector<uint8_t> out(page.size());
       for (uint64_t i = 0; i < kReadsPerThread; ++i) {
         ipc::Request req;
         req.op = ipc::OpCode::kBlkRead;
-        req.offset = (i % kPages) * out.size();
+        req.offset = (first_page + i % kPages) * out.size();
         req.length = out.size();
         req.data = out.data();
         core::ExecTrace trace;
@@ -418,8 +562,8 @@ class CacheCounterTest : public ModStackTest {
       }
       running.fetch_sub(1);
     };
-    std::thread a(reader);
-    std::thread b(reader);
+    std::thread a(reader, 0);
+    std::thread b(reader, disjoint ? kPages : 0);
     uint64_t sampled = 0;
     while (running.load() > 0) sampled = std::max(sampled, cache.hits());
     a.join();
@@ -437,6 +581,20 @@ TEST_F(CacheCounterTest, LruCountsEveryConcurrentHit) {
   ReadConcurrently(stack, *lru);
   EXPECT_EQ(lru->hits(), 2 * kReadsPerThread);
   EXPECT_EQ(lru->misses(), 0u);
+}
+
+// Disjoint pages mostly fall in different shards of the LRU, so the
+// two readers count their hits under different shard locks.
+TEST_F(CacheCounterTest, LruCountsEveryHitOnDisjointPages) {
+  core::Stack* stack = MountCache("lru_cache", "lru_dj");
+  auto mod = registry_.Find("cache_lru_dj");
+  ASSERT_TRUE(mod.ok());
+  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
+  ASSERT_NE(lru, nullptr);
+  ReadConcurrently(stack, *lru, /*disjoint=*/true);
+  EXPECT_EQ(lru->hits(), 2 * kReadsPerThread);
+  EXPECT_EQ(lru->misses(), 0u);
+  EXPECT_EQ(lru->resident_pages(), 2 * kPages);
 }
 
 TEST_F(CacheCounterTest, AdaptiveCountsEveryConcurrentHit) {

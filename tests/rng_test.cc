@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 namespace labstor {
@@ -76,6 +78,60 @@ TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
 TEST(RngTest, ZipfDegenerateN1) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Zipf(1, 0.9), 0u);
+}
+
+// Zipf as it was before Rng cached zeta(n): every constant recomputed
+// on every draw from the same uniform variate.
+double ReferenceZeta(uint64_t n, double theta) {
+  if (n <= 1024) {
+    double sum = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) sum += std::pow(1.0 / static_cast<double>(i), theta);
+    return sum;
+  }
+  double sum = 0.0;
+  for (uint64_t i = 1; i <= 1024; ++i) sum += std::pow(1.0 / static_cast<double>(i), theta);
+  sum += (std::pow(static_cast<double>(n), 1.0 - theta) -
+          std::pow(1024.0, 1.0 - theta)) /
+         (1.0 - theta);
+  return sum;
+}
+
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double theta) {
+  if (n <= 1) return 0;
+  const double zetan = ReferenceZeta(n, theta);
+  const double alpha = 1.0 / (1.0 - theta);
+  const double eta = (1.0 - std::pow(2.0 / static_cast<double>(n),
+                                     1.0 - theta)) /
+                     (1.0 - ReferenceZeta(2, theta) / zetan);
+  const double u = rng.NextDouble();
+  const double uz = u * zetan;
+  if (uz < 1.0) return 0;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  const auto rank = static_cast<uint64_t>(
+      static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+  return rank >= n ? n - 1 : rank;
+}
+
+TEST(RngTest, ZipfMatchesUncachedFormula) {
+  // Both zeta branches (n <= 1024 exact, larger n with the integral
+  // tail), and (n, theta) changing between runs so the cached
+  // constants are replaced, including a change of theta alone.
+  const std::vector<std::pair<uint64_t, double>> params = {
+      {2, 0.5},      {26, 0.9},     {1000, 0.99},     {1000, 0.9},
+      {1024, 0.8},   {1025, 0.8},   {100000, 0.99},   {1ull << 20, 0.6},
+      {1, 0.9},      {26, 0.9}};
+  Rng cached(42);
+  Rng reference(42);
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [n, theta] : params) {
+      for (int i = 0; i < 500; ++i) {
+        ASSERT_EQ(cached.Zipf(n, theta), ReferenceZipf(reference, n, theta))
+            << "draw " << i << " of Zipf(" << n << ", " << theta << ")";
+      }
+    }
+  }
+  // The streams stayed in step.
+  EXPECT_EQ(cached.Next(), reference.Next());
 }
 
 TEST(RngTest, BernoulliFrequency) {

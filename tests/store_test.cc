@@ -9,6 +9,10 @@
 //
 // StoreConcurrencyTest: threads share one allocator or one LabFS. The
 // CI ThreadSanitizer job selects this suite by name.
+//
+// SyncSlotTest: sync clients execute as the slot they took at Connect,
+// so two of them append to different log slots and allocate from
+// different pools of one LabFS. Also selected by the TSan job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,7 +44,8 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
 }
 
 // One sync stack, `mod` over a kernel driver, on a fresh device. Sync
-// requests execute inline in the calling thread and log to slot 0.
+// requests execute inline in the calling thread and log to the
+// client's slot: slot 0 for the rig's own client, which connects first.
 class StoreRig {
  public:
   StoreRig(const std::string& mod, const std::string& mount,
@@ -76,6 +81,7 @@ class StoreRig {
   }
   core::Runtime& runtime() { return runtime_; }
   core::Client& client() { return client_; }
+  simdev::SimDevice* device() { return *devices_.Find("nvme0"); }
 
  private:
   static core::Runtime::Options Options(size_t workers) {
@@ -473,6 +479,114 @@ TEST(StoreConcurrencyTest, TwoThreadsCreateWriteUnlinkThroughOneLabFs) {
   EXPECT_TRUE(repaired.Consistent());
   EXPECT_EQ(repaired.mapped_blocks, audit.mapped_blocks);
   EXPECT_EQ(repaired.free_blocks, audit.free_blocks);
+}
+
+// ---------- worker slots of sync clients ----------
+
+TEST(SyncSlotTest, TwoClientsWriteThroughTheirOwnLogSlotAndPool) {
+  constexpr int kFilesPerClient = 40;
+  constexpr uint64_t kLogRecords = 4096;
+  constexpr uint32_t kWorkers = 2;
+  StoreRig rig("labfs", "fs::/slot", kLogRecords, 64 << 20, kWorkers);
+  auto* labfs = rig.mod<LabFsMod>();
+  EXPECT_EQ(rig.client().slot(), 0u);
+  std::vector<std::unique_ptr<core::Client>> clients;
+  for (uint32_t c = 0; c < 2; ++c) {
+    clients.push_back(std::make_unique<core::Client>(
+        rig.runtime(), ipc::Credentials{200 + c, 1000, 1000}));
+    ASSERT_TRUE(clients.back()->Connect().ok());
+  }
+  // After the rig's client (queue 1, slot 0): queues 2 and 3.
+  ASSERT_EQ(clients[0]->slot(), 1u);
+  ASSERT_EQ(clients[1]->slot(), 0u);
+
+  struct File {
+    std::string path;
+    std::vector<uint8_t> data;
+  };
+  std::vector<std::vector<File>> files(2);
+  std::vector<uint64_t> blocks(2, 0);
+  Rng rng(29);
+  for (uint32_t c = 0; c < 2; ++c) {
+    for (int i = 0; i < kFilesPerClient; ++i) {
+      const uint64_t size = rng.Range(1, 4) * kBlock - rng.Range(0, 99);
+      files[c].push_back(File{"fs::/slot/c" + std::to_string(c) + "_" +
+                                  std::to_string(i),
+                              Pattern(size, static_cast<uint8_t>(c * 64 + i))});
+      blocks[c] += (size + kBlock - 1) / kBlock;
+    }
+  }
+  std::vector<uint64_t> free_before(kWorkers);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    free_before[w] = labfs->allocator_free_blocks_of(w);
+  }
+
+  // Both clients write at once.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (uint32_t c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      GenericFs fs(*clients[c]);
+      for (const File& f : files[c]) {
+        auto fd = fs.Create(f.path);
+        if (!fd.ok() || !fs.Write(*fd, f.data, 0).ok() ||
+            !fs.Close(*fd).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  // Each client's blocks came out of its own pool, and nothing stole.
+  for (uint32_t c = 0; c < 2; ++c) {
+    const uint32_t slot = clients[c]->slot();
+    EXPECT_EQ(labfs->allocator_free_blocks_of(slot),
+              free_before[slot] - blocks[c])
+        << "client " << c << " (slot " << slot << ")";
+  }
+  EXPECT_EQ(labfs->allocator_steals(), 0u);
+
+  // Both log slots hold records on the device: slot w's region starts
+  // w * kLogRecords records into the log.
+  const MetadataLog* log = labfs->log();
+  ASSERT_NE(log, nullptr);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    LogRecord first;
+    auto* bytes = reinterpret_cast<uint8_t*>(&first);
+    ASSERT_TRUE(rig.device()
+                    ->ReadNow(log->region_offset() +
+                                  w * kLogRecords * sizeof(LogRecord),
+                              std::span(bytes, sizeof(LogRecord)))
+                    .ok());
+    EXPECT_EQ(first.magic, LogRecord::kMagic) << "log slot " << w << " empty";
+  }
+
+  // Replay merges the slots by sequence number: every file comes back
+  // with its size and bytes.
+  ASSERT_TRUE(labfs->StateRepair().ok());
+  EXPECT_EQ(labfs->log_torn_dropped(), 0u);
+  EXPECT_EQ(labfs->file_count(), 2u * kFilesPerClient);
+  GenericFs fs(rig.client());
+  for (const std::vector<File>& mine : files) {
+    for (const File& f : mine) {
+      auto size = labfs->FileSize(f.path);
+      ASSERT_TRUE(size.ok()) << f.path;
+      EXPECT_EQ(*size, f.data.size()) << f.path;
+      auto fd = fs.Open(f.path, 0);
+      ASSERT_TRUE(fd.ok()) << f.path;
+      std::vector<uint8_t> out(f.data.size());
+      auto read = fs.Read(*fd, out, 0);
+      ASSERT_TRUE(read.ok()) << f.path;
+      EXPECT_EQ(*read, f.data.size()) << f.path;
+      EXPECT_EQ(out, f.data) << f.path;
+      EXPECT_TRUE(fs.Close(*fd).ok());
+    }
+  }
+  const LabFsMod::BlockAudit audit = labfs->AuditBlocks();
+  EXPECT_TRUE(audit.Consistent());
+  EXPECT_EQ(audit.mapped_blocks, blocks[0] + blocks[1]);
 }
 
 }  // namespace
