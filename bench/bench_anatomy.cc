@@ -22,8 +22,9 @@ struct Breakdown {
 };
 
 sim::Task<void> OneOp(sim::Environment& env, core::SimRuntime& rt,
-                      core::Stack& stack, ipc::Request& req, sim::Time* done) {
-  (void)co_await rt.Execute(1, stack, req);
+                      core::Stack& stack, ipc::Request& req, sim::Time* done,
+                      core::ExecTrace* ledger = nullptr) {
+  (void)co_await rt.Execute(1, stack, req, ledger);
   *done = env.now();
 }
 
@@ -67,24 +68,12 @@ Breakdown MeasureOp(ipc::OpCode op) {
     req.op = ipc::OpCode::kRead;
   }
 
+  // The software split comes from the ledger of the request timed here.
   const sim::Time begin = env.now();
   sim::Time done = 0;
-  env.Spawn(OneOp(env, rt, **stack, req, &done));
-
-  // Reconstruct the component times by re-running the functional part
-  // with a trace (identical mod state path: use a fresh request on the
-  // same stack through StackExec directly).
+  env.Spawn(OneOp(env, rt, **stack, req, &done, &result.trace));
   env.Run();
   result.total = done - begin;
-
-  // Trace the same op functionally for the software split.
-  core::StackExec exec(**stack, rt.ctx(), result.trace);
-  ipc::Request probe;
-  probe.op = op;
-  probe.SetPath("fs::/anatomy/x");
-  probe.length = 4096;
-  probe.data = buf.data();
-  (void)exec.Dispatch(probe);
 
   const sim::SoftwareCosts& c = rt.costs();
   result.ipc = c.shm_submit + c.worker_poll + c.shm_complete;

@@ -9,11 +9,7 @@
 //   * throughput_async_dummy — 64 pipelined in-flight requests against
 //     a dummy stack, isolating queue-drain throughput from mod work;
 //   * inline_sync_labfs_4k_write — the decentralized (sync) path,
-//     isolating per-request execution cost from IPC and worker wakeup;
-//   * latency_async_event_wakeup — the first phase again with doorbell
-//     parking on (Options::event_wakeup): the latency delta is what
-//     event-driven wakeup costs on the hot path, and the doorbell
-//     counters show workers actually parking instead of spinning.
+//     isolating per-request execution cost from IPC and worker wakeup.
 //
 // The binary installs a counting global allocator and reports heap
 // allocations per request for each phase — the "zero-allocation
@@ -114,10 +110,8 @@ struct PhaseResult {
   // Per-op tail distribution (count == 0 for the pipelined throughput
   // phase, where a single request has no isolated latency).
   TailStats tail;
-  // Doorbell counters (async client phases; rings are counted in both
-  // wakeup modes, wakeups only happen with event_wakeup on).
+  // Doorbell rings and idle sleeps (the async latency phase).
   uint64_t doorbell_rings = 0;
-  uint64_t doorbell_wakeups = 0;
   uint64_t idle_sleeps = 0;
 };
 
@@ -155,17 +149,14 @@ core::StackSpec FsStack(const char* mode) {
   return *spec;
 }
 
-// Single in-flight 4KB writes through the async worker path. With
-// `event_wakeup` the worker parks in the doorbell wait between
-// requests instead of spinning out the idle backoff ladder.
-PhaseResult LatencyPhase(bool event_wakeup = false) {
+// Single in-flight 4KB writes through the async worker path.
+PhaseResult LatencyPhase() {
   simdev::DeviceRegistry devices(nullptr);
   if (!devices.Create(simdev::DeviceParams::NvmeP3700(256 << 20)).ok()) {
     std::abort();
   }
   core::Runtime::Options options;
   options.max_workers = 1;
-  options.event_wakeup = event_wakeup;
   core::Runtime runtime(std::move(options), devices);
   auto stack = runtime.MountStack(FsStack("async"), ipc::Credentials{1, 0, 0});
   if (!stack.ok()) std::abort();
@@ -206,15 +197,12 @@ PhaseResult LatencyPhase(bool event_wakeup = false) {
   const uint64_t elapsed = NowNs() - t0;
   const uint64_t allocs = HeapAllocs() - allocs0;
   const uint64_t rings = runtime.doorbell_rings();
-  const uint64_t wakeups = runtime.doorbell_wakeups();
   const uint64_t sleeps = runtime.idle_sleeps();
   (void)runtime.Stop();
 
   PhaseResult result;
-  result.name = event_wakeup ? "latency_async_event_wakeup"
-                             : "latency_async_labfs_4k_write";
+  result.name = "latency_async_labfs_4k_write";
   result.doorbell_rings = rings;
-  result.doorbell_wakeups = wakeups;
   result.idle_sleeps = sleeps;
   result.requests = iters;
   result.ns_per_request = static_cast<double>(elapsed) / iters;
@@ -373,7 +361,6 @@ void WriteJson(const std::vector<PhaseResult>& phases, const char* path) {
     }
     if (p.doorbell_rings > 0) {
       json.Add(p.name, "doorbell_rings", p.doorbell_rings);
-      json.Add(p.name, "doorbell_wakeups", p.doorbell_wakeups);
       json.Add(p.name, "idle_sleeps", p.idle_sleeps);
     }
   }
@@ -390,7 +377,6 @@ int main(int argc, char** argv) {
   phases.push_back(LatencyPhase());
   phases.push_back(ThroughputPhase());
   phases.push_back(InlineSyncPhase());
-  phases.push_back(LatencyPhase(/*event_wakeup=*/true));
 
   PrintHeader("Hot path — real-mode async/sync datapath");
   Table table({"phase", "ns/request", "p99_ns", "requests/sec",

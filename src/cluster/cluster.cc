@@ -40,7 +40,6 @@ Status Cluster::AddNodeInternal(uint32_t* id_out) {
   ClusterNode::Options opts;
   opts.workers = config_.workers_per_node;
   opts.device_bytes = config_.node_device_bytes;
-  opts.version = config_.initial_version;
   opts.log_records_per_worker = config_.log_records_per_worker;
   auto node = std::make_unique<ClusterNode>(env_, id, opts);
   LABSTOR_RETURN_IF_ERROR(node->init_status());
@@ -402,12 +401,16 @@ sim::Task<Status> Cluster::RejoinNode(uint32_t id) {
 sim::Task<Status> Cluster::RollingUpgrade(uint32_t new_version) {
   for (const uint32_t id : NodeIds()) {
     ClusterNode* n = node(id);
-    if (n == nullptr || !n->up()) continue;  // crashed: upgrades on rejoin
+    // A crashed node is skipped; rejoining does not upgrade it, the
+    // next round does.
+    if (n == nullptr || !n->up()) continue;
     LABSTOR_CO_RETURN_IF_ERROR(co_await n->Quiesce());
     // Software swap window: the node is admission-held but the shard
     // map keeps every other node serving.
     co_await env_.Delay(50 * sim::kUs);
-    n->Resume(new_version);
+    const Status upgraded = n->Upgrade(new_version);
+    n->Resume();
+    LABSTOR_CO_RETURN_IF_ERROR(upgraded);
   }
   co_return Status::Ok();
 }

@@ -47,7 +47,6 @@ struct ClusterConfig {
   // A forwarded request gives up after this many hops (invariant: with
   // monotone map adoption, two hops always suffice).
   uint32_t max_forward_hops = 3;
-  uint32_t initial_version = 1;
   sim::NetworkCosts net_costs = sim::DefaultNetworkCosts();
   // How many plan/execute rounds Rebalance() runs before declaring the
   // cluster unable to converge.
@@ -58,7 +57,7 @@ struct NodeInfo {
   uint32_t id = 0;
   bool up = false;
   bool draining = false;
-  uint32_t version = 0;
+  uint32_t version = 0;  // of the node's labkvs instance
   uint64_t map_generation = 0;
   uint64_t labels = 0;
   uint64_t executed = 0;
@@ -137,8 +136,11 @@ class Cluster {
   // rebalance round to shed any labels whose ownership moved while the
   // node was down.
   sim::Task<Status> RejoinNode(uint32_t id);
-  // Per-node quiesce -> version bump -> resume, in node-id order; the
-  // shard map keeps every other node serving while one drains.
+  // Per-node quiesce -> labkvs live upgrade to `new_version` through
+  // the node Runtime's ModuleManager -> resume, in node-id order; the
+  // shard map keeps every other node serving while one drains. A
+  // crashed node is skipped; it rejoins on its old version and the
+  // next round upgrades it.
   sim::Task<Status> RollingUpgrade(uint32_t new_version);
   // Plan/execute migration rounds against the latest published map
   // until no step remains (or the round budget is exhausted).

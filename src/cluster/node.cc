@@ -22,6 +22,9 @@ std::string NodeStackYaml(uint32_t id, uint64_t log_records) {
          "  - mod: labkvs\n"
          "    uuid: kvs_" + tag +
          "\n"
+         // Pinned: Instantiate defaults to the latest registered
+         // version, and rolling upgrades start from v1.
+         "    version: 1\n"
          "    params:\n"
          "      device: " + kDeviceName +
          "\n"
@@ -41,6 +44,15 @@ std::string NodeStackYaml(uint32_t id, uint64_t log_records) {
          "      device: " + std::string(kDeviceName) + "\n";
 }
 
+std::string KvsUuid(uint32_t id) { return "kvs_n" + std::to_string(id); }
+std::string PushdownUuid(uint32_t id) { return "pd_n" + std::to_string(id); }
+
+template <typename Mod>
+Mod* FindMod(core::SimRuntime& rt, const std::string& uuid) {
+  const auto mod = rt.registry().Find(uuid);
+  return mod.ok() ? dynamic_cast<Mod*>(*mod) : nullptr;
+}
+
 }  // namespace
 
 ClusterNode::ClusterNode(sim::Environment& env, uint32_t id)
@@ -51,7 +63,6 @@ ClusterNode::ClusterNode(sim::Environment& env, uint32_t id, Options options)
       id_(id),
       options_(options),
       devices_(&env),
-      version_(options.version),
       resume_event_(env) {
   simdev::DeviceParams params =
       simdev::DeviceParams::NvmeP3700(options_.device_bytes);
@@ -68,27 +79,26 @@ ClusterNode::ClusterNode(sim::Environment& env, uint32_t id, Options options)
     return;
   }
   stack_ = *stack;
-  auto mod = rt_->registry().Find("kvs_n" + std::to_string(id_));
-  if (!mod.ok()) {
-    init_status_ = mod.status();
-    return;
-  }
-  kvs_ = dynamic_cast<labmods::LabKvsMod*>(*mod);
-  if (kvs_ == nullptr) {
-    init_status_ = Status::Internal("cluster node kvs mod has wrong type");
-    return;
-  }
-  auto pd = rt_->registry().Find("pd_n" + std::to_string(id_));
-  if (!pd.ok()) {
-    init_status_ = pd.status();
-    return;
-  }
-  pushdown_ = dynamic_cast<labmods::PushdownMod*>(*pd);
-  if (pushdown_ == nullptr) {
-    init_status_ = Status::Internal("cluster node pushdown mod has wrong type");
+  if (kvs() == nullptr || pushdown() == nullptr) {
+    init_status_ = Status::Internal("cluster node stack lacks its mods");
     return;
   }
   init_status_ = Status::Ok();
+}
+
+labmods::LabKvsMod* ClusterNode::kvs() const {
+  if (rt_ == nullptr) return nullptr;
+  return FindMod<labmods::LabKvsMod>(*rt_, KvsUuid(id_));
+}
+
+labmods::PushdownMod* ClusterNode::pushdown() const {
+  if (rt_ == nullptr) return nullptr;
+  return FindMod<labmods::PushdownMod>(*rt_, PushdownUuid(id_));
+}
+
+uint32_t ClusterNode::version() const {
+  const labmods::LabKvsMod* store = kvs();
+  return store == nullptr ? 0 : store->version();
 }
 
 void ClusterNode::AdoptMap(std::shared_ptr<const ShardMap> map) {
@@ -123,8 +133,15 @@ sim::Task<Status> ClusterNode::Quiesce() {
   co_return Status::Ok();
 }
 
-void ClusterNode::Resume(uint32_t new_version) {
-  version_ = new_version;
+Status ClusterNode::Upgrade(uint32_t new_version) {
+  if (rt_ == nullptr) return Status::Internal("node not initialized");
+  core::Runtime& runtime = rt_->runtime();
+  runtime.SubmitUpgrade(core::UpgradeRequest{"labkvs", new_version,
+                                             core::UpgradeKind::kCentralized});
+  return runtime.StepAdmin();
+}
+
+void ClusterNode::Resume() {
   draining_ = false;
   resume_event_.Trigger();
 }
@@ -200,10 +217,11 @@ sim::Task<Status> ClusterNode::PutBytes(uint32_t qid, const std::string& label,
 }
 
 Status ClusterNode::RegisterChain(const ipc::ChainProgram& program) {
-  if (pushdown_ == nullptr) return Status::Internal("node not initialized");
+  labmods::PushdownMod* pd = pushdown();
+  if (pd == nullptr) return Status::Internal("node not initialized");
   if (!up_) return Status::Unavailable("node is down");
-  return pushdown_->Register(
-      program, rt_->ns().epoch_ref().load(std::memory_order_acquire));
+  return pd->Register(program,
+                      rt_->ns().epoch_ref().load(std::memory_order_acquire));
 }
 
 sim::Task<Status> ClusterNode::ExecChain(uint32_t qid, uint32_t chain_id,
@@ -213,8 +231,8 @@ sim::Task<Status> ClusterNode::ExecChain(uint32_t qid, uint32_t chain_id,
   // A mutating chain rewrites its start label; take the same
   // migration-lock path as a direct Put on it.
   bool mutates = false;
-  if (pushdown_ != nullptr) {
-    for (const auto& info : pushdown_->ListChains()) {
+  if (const labmods::PushdownMod* pd = pushdown(); pd != nullptr) {
+    for (const auto& info : pd->ListChains()) {
       if (info.id == chain_id) {
         mutates = info.mutates;
         break;
@@ -290,19 +308,22 @@ uint64_t ClusterNode::MaxVersion(const std::string& label) const {
 }
 
 bool ClusterNode::Has(const std::string& label) const {
-  return kvs_ != nullptr && kvs_->ValueSize(KeyFor(label)).ok();
+  const labmods::LabKvsMod* store = kvs();
+  return store != nullptr && store->ValueSize(KeyFor(label)).ok();
 }
 
 Result<uint64_t> ClusterNode::ValueSize(const std::string& label) const {
-  if (kvs_ == nullptr) return Status::Internal("node not initialized");
-  return kvs_->ValueSize(KeyFor(label));
+  const labmods::LabKvsMod* store = kvs();
+  if (store == nullptr) return Status::Internal("node not initialized");
+  return store->ValueSize(KeyFor(label));
 }
 
 std::vector<std::string> ClusterNode::Labels() const {
   std::vector<std::string> labels;
-  if (kvs_ == nullptr) return labels;
+  const labmods::LabKvsMod* store = kvs();
+  if (store == nullptr) return labels;
   const std::string prefix = std::string(kMount) + "/";
-  for (std::string& key : kvs_->ListKeys()) {
+  for (std::string& key : store->ListKeys()) {
     if (key.rfind(prefix, 0) == 0) {
       labels.push_back(key.substr(prefix.size()));
     }
@@ -311,7 +332,8 @@ std::vector<std::string> ClusterNode::Labels() const {
 }
 
 size_t ClusterNode::label_count() const {
-  return kvs_ == nullptr ? 0 : kvs_->key_count();
+  const labmods::LabKvsMod* store = kvs();
+  return store == nullptr ? 0 : store->key_count();
 }
 
 }  // namespace labstor::cluster

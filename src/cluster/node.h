@@ -1,13 +1,14 @@
 // ClusterNode: one simulated LabStor runtime node in the cluster.
 //
 // Every node is a full single-node LabStor instance under the shared
-// DES: its own DeviceRegistry + NVMe device, its own SimRuntime (the
-// real StackNamespace / ModuleRegistry / StackExec machinery), and an
-// async LabKVS stack mounted at the cluster-wide mount point
-// `kvs::/shard`. Label puts/gets execute the *real* LabKVS mod code —
-// block allocation, metadata-log appends, the works — so node crash /
+// DES: its own DeviceRegistry + NVMe device, its own SimRuntime (a
+// real, never-Started Runtime under the virtual clock), and an async
+// LabKVS stack mounted at the cluster-wide mount point `kvs::/shard`.
+// Label puts/gets execute the *real* LabKVS mod code — block
+// allocation, metadata-log appends, the works — so node crash /
 // rejoin recovery rides the same StateRepair log replay the DST
-// harness verifies for single nodes.
+// harness verifies for single nodes, and a rolling upgrade swaps the
+// labkvs instance through the Runtime's ModuleManager.
 //
 // Routing state: each node holds an RCU snapshot of the ShardMap (and
 // the previous one). Snapshots may be stale; the cluster routing layer
@@ -42,7 +43,6 @@ class ClusterNode {
   struct Options {
     size_t workers = 2;
     uint64_t device_bytes = 32ull << 20;
-    uint32_t version = 1;  // software version (rolling upgrades bump it)
     uint64_t log_records_per_worker = 8192;
   };
 
@@ -54,7 +54,8 @@ class ClusterNode {
   Status init_status() const { return init_status_; }
   uint32_t id() const { return id_; }
   bool up() const { return up_; }
-  uint32_t version() const { return version_; }
+  // Version of the running labkvs instance (0 before a good init).
+  uint32_t version() const;
   bool draining() const { return draining_; }
   uint64_t in_flight() const { return in_flight_; }
   uint64_t executed() const { return executed_; }
@@ -78,8 +79,14 @@ class ClusterNode {
   // Per-node quiesce for rolling upgrades: hold new admissions, wait
   // for in-flight requests to drain.
   sim::Task<Status> Quiesce();
-  // Release held requests, running the new software version.
-  void Resume(uint32_t new_version);
+  // Live-upgrade the labkvs instance to `new_version` through the
+  // Runtime's ModuleManager (a centralized UpgradeRequest, processed
+  // inline by StepAdmin): UpgradeAll stages the new instance,
+  // StateUpdate moves the store, RefreshBindings rebinds the stack.
+  // Runs between Quiesce and Resume.
+  Status Upgrade(uint32_t new_version);
+  // Release held requests.
+  void Resume();
 
   // --- label operations (local execution through the real stack) ---
   sim::Task<Status> Put(uint32_t qid, const std::string& label, uint64_t size);
@@ -101,7 +108,7 @@ class ClusterNode {
                               const std::string& label,
                               uint64_t* size_out = nullptr,
                               uint32_t* steps_out = nullptr);
-  labmods::PushdownMod* pushdown() { return pushdown_; }
+  labmods::PushdownMod* pushdown() const;
 
   // --- store introspection (invariants / rebalancer planning) ---
   bool Has(const std::string& label) const;
@@ -158,6 +165,9 @@ class ClusterNode {
   sim::Task<Status> Submit(uint32_t qid, ipc::Request& req,
                            const std::string& label, bool client_mutation);
   void EnsureQueue(uint32_t qid);
+  // Resolved through the registry on every use: an upgrade destroys
+  // the instance a held pointer would name.
+  labmods::LabKvsMod* kvs() const;
 
   sim::Environment& env_;
   uint32_t id_;
@@ -167,13 +177,10 @@ class ClusterNode {
   simdev::DeviceRegistry devices_;
   std::unique_ptr<core::SimRuntime> rt_;
   core::Stack* stack_ = nullptr;
-  labmods::LabKvsMod* kvs_ = nullptr;
-  labmods::PushdownMod* pushdown_ = nullptr;
   std::set<uint32_t> registered_queues_;
 
   bool up_ = true;
   bool draining_ = false;
-  uint32_t version_;
   uint64_t in_flight_ = 0;
   uint64_t executed_ = 0;
   sim::Event resume_event_;

@@ -72,18 +72,9 @@ bool ShardMap::Contains(uint32_t node) const {
 
 bool ShardMapPublisher::Publish(std::shared_ptr<const ShardMap> map) {
   if (map == nullptr) return false;
-  std::lock_guard<std::mutex> lock(mu_);
   if (map_ != nullptr && map->generation() <= map_->generation()) return false;
   map_ = std::move(map);
-  // Store after the swap (release): a reader woken by the counter is
-  // guaranteed to refetch a map at least this new.
-  generation_.store(map_->generation(), std::memory_order_release);
   return true;
-}
-
-std::shared_ptr<const ShardMap> ShardMapPublisher::Load() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_;
 }
 
 }  // namespace labstor::cluster

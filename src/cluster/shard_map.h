@@ -9,19 +9,15 @@
 // adding a node only steals keys for that node; removing one only
 // redistributes the removed node's keys.
 //
-// Publication is RCU-style, exactly the AssignmentTable shape from the
-// hot-path overhaul (DESIGN.md §7): a rebalance builds a fresh
-// immutable ShardMap at generation+1 and swaps it into the publisher;
-// readers (cluster nodes, gateways) hold shared_ptr snapshots and poll
-// the atomic generation counter, so routing never takes the publisher
-// lock on the hot path and a stale snapshot is always a *valid* map —
-// just one that may cost a forwarded hop.
+// Publication is snapshot-based: a rebalance builds a fresh immutable
+// ShardMap at generation+1 and swaps it into the publisher; readers
+// (cluster nodes, gateways) hold shared_ptr snapshots, so a stale
+// snapshot is always a *valid* map — just one that may cost a
+// forwarded hop.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -69,8 +65,9 @@ class ShardMap {
   std::vector<uint32_t> nodes_;  // sorted member set
 };
 
-// RCU-style publication point (the cluster's single source of truth
-// for the *latest* map; nodes route from adopted snapshots).
+// Publication point: the cluster's single source of truth for the
+// *latest* map; nodes route from adopted snapshots. The cluster runs
+// only under the single-threaded DES, so nothing here is locked.
 class ShardMapPublisher {
  public:
   ShardMapPublisher() = default;
@@ -82,17 +79,10 @@ class ShardMapPublisher {
   // Returns false (and installs nothing) otherwise.
   bool Publish(std::shared_ptr<const ShardMap> map);
 
-  // Lock-free fast-path signal: readers poll this and only refetch
-  // the shared_ptr when it changed (AssignmentTable protocol).
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-  std::shared_ptr<const ShardMap> Load() const;
+  std::shared_ptr<const ShardMap> Load() const { return map_; }
 
  private:
-  mutable std::mutex mu_;
   std::shared_ptr<const ShardMap> map_;
-  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace labstor::cluster

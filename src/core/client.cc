@@ -83,8 +83,8 @@ Status Client::SubmitWithBackpressure(ipc::Request& req) {
   int attempt = 0;
   while (true) {
     if (channel_.qp->Submit(&req)) {
-      // The MMIO doorbell of the shm transport: wakes doorbell-parked
-      // workers under Options::event_wakeup, ticks a counter otherwise.
+      // The MMIO doorbell of the shm transport; workers poll, so the
+      // ring only ticks a counter.
       runtime_.RingDoorbell();
       return Status::Ok();
     }

@@ -31,7 +31,7 @@ constexpr size_t kWorkerBatch = 16;
 // Spin → yield → exponential sleep, reset on work (DESIGN.md §7): spin
 // kSpinPolls empty passes (cpu-relax), yield kYieldPolls passes, then
 // sleep with exponential backoff from kIdleSleepMin up to the
-// worker_idle_sleep ceiling. Spinning keeps dequeue latency in the
+// kIdleSleepMax ceiling. Spinning keeps dequeue latency in the
 // sub-µs range for ping-pong traffic; the sleep ceiling bounds idle
 // CPU burn at the old fixed-sleep level. SleepAtCeiling() is the
 // bulk-traffic escape hatch: a worker that just drained a full batch
@@ -45,9 +45,8 @@ class IdleBackoff {
   static constexpr uint32_t kYieldPolls = 16;
   static constexpr std::chrono::nanoseconds kIdleSleepMin =
       std::chrono::microseconds(4);
-
-  explicit IdleBackoff(std::chrono::nanoseconds sleep_max)
-      : sleep_max_(std::max(sleep_max, kIdleSleepMin)) {}
+  static constexpr std::chrono::nanoseconds kIdleSleepMax =
+      std::chrono::microseconds(100);
 
   void Reset() {
     idle_passes_ = 0;
@@ -56,8 +55,7 @@ class IdleBackoff {
 
   // Advance the ladder one idle pass. Spin/yield rungs pause inline
   // and return zero; sleep rungs return the duration and leave the
-  // actual wait to the caller — a worker on the doorbell parks on the
-  // condvar for that long instead of a blind sleep_for.
+  // sleep (and its count) to the caller.
   std::chrono::nanoseconds Idle() {
     if (idle_passes_ < kSpinPolls) {
       ++idle_passes_;
@@ -70,21 +68,67 @@ class IdleBackoff {
       return std::chrono::nanoseconds::zero();
     }
     const std::chrono::nanoseconds d = cur_sleep_;
-    cur_sleep_ = std::min(cur_sleep_ * 2, sleep_max_);
+    cur_sleep_ = std::min(cur_sleep_ * 2, kIdleSleepMax);
     return d;
   }
 
   std::chrono::nanoseconds SleepAtCeiling() {
     idle_passes_ = kSpinPolls + kYieldPolls;
-    cur_sleep_ = sleep_max_;
-    return sleep_max_;
+    cur_sleep_ = kIdleSleepMax;
+    return kIdleSleepMax;
   }
 
  private:
-  const std::chrono::nanoseconds sleep_max_;
   uint32_t idle_passes_ = 0;
   std::chrono::nanoseconds cur_sleep_ = kIdleSleepMin;
 };
+
+// Per-thread dispatch state, reused by every request the thread runs
+// so the steady state allocates nothing: the rebindable StackExec, the
+// ledger for callers that keep none (worker loop, inline path), and a
+// stack_id → Stack* cache validated against the namespace epoch. No
+// dispatch nests inside another on one thread.
+struct ThreadScratch {
+  ThreadScratch() {
+    trace.Reserve(/*sw_entries=*/32, /*dev_ops=*/16);
+    exec.ReserveCallStack(32);
+    stacks.reserve(16);
+  }
+  StackExec exec;
+  ExecTrace trace;
+  std::vector<std::pair<uint32_t, Stack*>> stacks;
+  uint64_t ns_epoch = 0;
+};
+thread_local ThreadScratch tl_scratch;
+
+// Set on the thread driving RunUpgradePass for its duration. A
+// PhaseHook (or a mod's StateUpdate) that executes requests inline
+// from inside the pass must bypass the quiesce gate — it IS the
+// quiescer, and waiting on itself would deadlock.
+thread_local bool tl_upgrade_pass_owner = false;
+
+Stack* LookupStack(const StackNamespace& ns, uint32_t stack_id,
+                   ThreadScratch& scratch) {
+  // Per-thread cache keyed on the namespace mutation epoch: any mount
+  // / unmount / modify / rebind invalidates every cached pointer, so
+  // the common case is a handful of pointer compares with no lock.
+  const uint64_t epoch = ns.epoch();
+  if (epoch != scratch.ns_epoch) {
+    scratch.stacks.clear();
+    scratch.ns_epoch = epoch;
+  }
+  for (const auto& [id, stack] : scratch.stacks) {
+    if (id == stack_id) return stack;
+  }
+  auto found = ns.FindById(stack_id);
+  if (!found.ok()) return nullptr;
+  // Don't cache across a concurrent mutation: the pointer we resolved
+  // under the namespace lock may already be about to dangle.
+  if (ns.epoch() == scratch.ns_epoch) {
+    scratch.stacks.emplace_back(stack_id, *found);
+  }
+  return *found;
+}
 
 }  // namespace
 
@@ -162,12 +206,6 @@ void Runtime::StartThreads() {
 
 void Runtime::StopThreads() {
   stop_.store(true, std::memory_order_release);
-  // Wake doorbell-parked workers so shutdown doesn't wait out their
-  // park timeout.
-  {
-    std::lock_guard<std::mutex> lock(doorbell_mu_);
-  }
-  doorbell_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -193,75 +231,19 @@ Status Runtime::UnmountStack(const std::string& mount,
   return namespace_.Unmount(mount, actor);
 }
 
-Stack* Runtime::LookupStack(uint32_t stack_id, ExecScratch& scratch) {
-  // Per-thread cache keyed on the namespace mutation epoch: any mount
-  // / unmount / modify / rebind invalidates every cached pointer, so
-  // the common case is a handful of pointer compares with no lock.
-  const uint64_t epoch = namespace_.epoch();
-  if (epoch != scratch.ns_epoch) {
-    scratch.stacks.clear();
-    scratch.ns_epoch = epoch;
-  }
-  for (const auto& [id, stack] : scratch.stacks) {
-    if (id == stack_id) return stack;
-  }
-  auto found = namespace_.FindById(stack_id);
-  if (!found.ok()) return nullptr;
-  // Don't cache across a concurrent mutation: the pointer we resolved
-  // under the namespace lock may already be about to dangle.
-  if (namespace_.epoch() == scratch.ns_epoch) {
-    scratch.stacks.emplace_back(stack_id, *found);
-  }
-  return *found;
-}
-
-Status Runtime::ExecuteWith(ipc::Request& req, ExecScratch& scratch) {
-  // Complete() hands the slot back to the client, which may Reuse() it
-  // at once, so every field read happens before it.
-  Stack* stack = LookupStack(req.stack_id, scratch);
-  if (stack == nullptr) {
-    Status missing =
-        Status::NotFound("no stack with id " + std::to_string(req.stack_id));
-    req.Complete(StatusCode::kNotFound);
-    return missing;
-  }
-  scratch.trace.Clear();
-  scratch.exec.Reset(*stack, mod_context_, scratch.trace);
-  const Status st = scratch.exec.Dispatch(req);
-  const uint32_t worker = req.worker;
-  req.Complete(st.ok() ? StatusCode::kOk : st.code(), req.result_u64);
-  if (telemetry::Telemetry* tel = options_.telemetry;
-      tel != nullptr && tel->enabled()) {
-    scratch.trace.PublishTo(*tel, worker);
-  }
-  return st;
-}
-
-namespace {
-// Set on the thread driving RunUpgradePass for its duration. A
-// PhaseHook (or a mod's StateUpdate) that executes requests inline
-// from inside the pass must bypass the quiesce gate — it IS the
-// quiescer, and waiting on itself would deadlock.
-thread_local bool tl_upgrade_pass_owner = false;
-}  // namespace
-
-Status Runtime::Execute(ipc::Request& req) {
-  // Per-thread scratch: sync-mode clients and tests reuse the same
-  // trace/exec/cache storage across calls (first call per thread pays
-  // the reservation; steady state allocates nothing).
-  thread_local ExecScratch scratch;
-  if (tl_upgrade_pass_owner) return ExecuteWith(req, scratch);
-  // Inline executions participate in the upgrade quiesce: join the
-  // in-flight count first, then check the gate — seq_cst on both
-  // sides of the handshake (this add + load, the quiescer's gate
+Status Runtime::ExecuteWith(ipc::Request& req, ExecTrace& trace, Stack* stack,
+                            bool queued) {
+  // An execution that crossed no queue joins the upgrade quiesce here:
+  // join the in-flight count first, then check the gate — seq_cst on
+  // both sides of the handshake (this add + load, the quiescer's gate
   // store + in-flight load) makes the classic store-buffer outcome
   // impossible: the quiescer either sees us in flight (and waits us
   // out) or we see its gate (and wait it out); there is no
   // interleaving where an inline execution runs concurrently with the
-  // registry swap / vertex rebinding. The epoch-validated stack cache
-  // inside ExecuteWith then re-resolves after the gate drops, so a
-  // stale binding can never run.
-  while (true) {
+  // registry swap / vertex rebinding. The stack is resolved after the
+  // gate, so a stale binding can never run.
+  const bool gated = !queued && !tl_upgrade_pass_owner;
+  while (gated) {
     in_flight_.fetch_add(1, std::memory_order_seq_cst);
     if (!quiescing_.load(std::memory_order_seq_cst)) break;
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -270,9 +252,32 @@ Status Runtime::Execute(ipc::Request& req) {
       std::this_thread::yield();
     }
   }
-  const Status st = ExecuteWith(req, scratch);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  ThreadScratch& scratch = tl_scratch;
+  if (stack == nullptr) stack = LookupStack(namespace_, req.stack_id, scratch);
+  // Complete() hands the slot back to the client, which may Reuse() it
+  // at once, so every field read happens before it.
+  if (stack == nullptr) {
+    Status missing =
+        Status::NotFound("no stack with id " + std::to_string(req.stack_id));
+    req.Complete(StatusCode::kNotFound);
+    if (gated) in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    return missing;
+  }
+  trace.Clear();
+  scratch.exec.Reset(*stack, mod_context_, trace);
+  const Status st = scratch.exec.Dispatch(req);
+  const uint32_t worker = req.worker;
+  req.Complete(st.ok() ? StatusCode::kOk : st.code(), req.result_u64);
+  if (telemetry::Telemetry* tel = mod_context_.telemetry;
+      tel != nullptr && tel->enabled()) {
+    trace.PublishTo(*tel, worker);
+  }
+  if (gated) in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   return st;
+}
+
+Status Runtime::Execute(ipc::Request& req) {
+  return ExecuteWith(req, tl_scratch.trace);
 }
 
 Status Runtime::RunUpgradePass() {
@@ -348,11 +353,11 @@ std::vector<ipc::QueuePair*> Runtime::AssignedQueues(size_t worker_id) const {
 void Runtime::WorkerLoop(size_t worker_id) {
   telemetry::Telemetry* tel = options_.telemetry;
   // Per-worker state, sized once: the drained-batch buffer, the
-  // execution scratch, and the idle ladder. Nothing below allocates
+  // thread's ledger, and the idle ladder. Nothing below allocates
   // once these are warm.
   std::array<ipc::Request*, kWorkerBatch> batch{};
-  ExecScratch scratch;
-  IdleBackoff idle(options_.worker_idle_sleep);
+  ExecTrace& trace = tl_scratch.trace;
+  IdleBackoff idle;
   // RCU read side: hold the published table; re-load only when the
   // generation counter moves (one relaxed-ish atomic load per pass in
   // steady state, no mutex, no vector copy).
@@ -363,33 +368,13 @@ void Runtime::WorkerLoop(size_t worker_id) {
   // the next idle moment should cede the core wholesale instead of
   // spinning. Cleared by any partial-drain working pass.
   bool bulk_traffic = false;
-  // Sleep-rung wait: fixed sleep, or (event mode) a doorbell park
-  // bounded by the same duration. `db_seen` is captured before the
-  // poll pass, so a ring racing the empty poll flips the predicate
-  // and the park returns immediately — no lost wakeup.
-  const auto sleep_or_park = [this](std::chrono::nanoseconds d,
-                                    uint64_t db_seen) {
+  const auto sleep = [this](std::chrono::nanoseconds d) {
     if (d <= std::chrono::nanoseconds::zero()) return;
     idle_sleeps_.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.event_wakeup) {
-      std::this_thread::sleep_for(d);
-      return;
-    }
-    std::unique_lock<std::mutex> lock(doorbell_mu_);
-    const bool rung = doorbell_cv_.wait_for(lock, d, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             doorbell_seq_.load(std::memory_order_acquire) != db_seen;
-    });
-    if (rung && !stop_.load(std::memory_order_acquire)) {
-      doorbell_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    }
+    std::this_thread::sleep_for(d);
   };
 
   while (!stop_.load(std::memory_order_acquire)) {
-    const uint64_t db_seen =
-        options_.event_wakeup
-            ? doorbell_seq_.load(std::memory_order_acquire)
-            : 0;
     const uint64_t generation =
         assign_generation_.load(std::memory_order_acquire);
     if (generation != seen_generation) {
@@ -466,7 +451,7 @@ void Runtime::WorkerLoop(size_t worker_id) {
                             req->submit_ns, now - req->submit_ns, "qid",
                             qp->id());
         }
-        (void)ExecuteWith(*req, scratch);
+        (void)ExecuteWith(*req, trace, nullptr, /*queued=*/true);
       }
       // Feed the measured processing time back to the orchestrator as
       // an EWMA (the paper: workers "periodically monitor LabMods to
@@ -489,22 +474,11 @@ void Runtime::WorkerLoop(size_t worker_id) {
       idle.Reset();
       bulk_traffic = max_drain >= kWorkerBatch;
     } else if (bulk_traffic) {
-      sleep_or_park(idle.SleepAtCeiling(), db_seen);
+      sleep(idle.SleepAtCeiling());
     } else {
-      sleep_or_park(idle.Idle(), db_seen);
+      sleep(idle.Idle());
     }
   }
-}
-
-void Runtime::RingDoorbell() {
-  doorbell_rings_.fetch_add(1, std::memory_order_relaxed);
-  doorbell_seq_.fetch_add(1, std::memory_order_release);
-  if (!options_.event_wakeup) return;
-  // Empty critical section: orders the sequence bump against a waiter
-  // mid-predicate-check, so the notify below can never fire in the
-  // window between its last predicate evaluation and the park.
-  { std::lock_guard<std::mutex> lock(doorbell_mu_); }
-  doorbell_cv_.notify_all();
 }
 
 void Runtime::AdminLoop() {

@@ -18,7 +18,10 @@
 //   * workers drain queues in batches (PollSubmissionBatch),
 //     amortizing ring CAS traffic, telemetry clock reads, and EWMA
 //     updates; completion is signalled in the request slot itself;
-//   * execution is allocation-free steady-state: per-thread ExecScratch
+//   * one request lifecycle (ExecuteWith) serves the worker loop, the
+//     inline sync path and the DES (SimRuntime hosts a never-Started
+//     Runtime and adds only the virtual clock);
+//   * execution is allocation-free steady-state: per-thread scratch
 //     reuses the ExecTrace/StackExec and caches stack_id → Stack*
 //     lookups validated against the namespace epoch;
 //   * idle workers follow a spin → yield → exponential-sleep backoff
@@ -32,7 +35,6 @@
 #include <atomic>
 #include <unordered_map>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -55,17 +57,6 @@ class Runtime {
     size_t max_workers = 4;
     std::unique_ptr<WorkOrchestrator> orchestrator;  // default: dynamic
     std::chrono::milliseconds admin_poll{5};
-    // Ceiling of the idle worker's exponential sleep backoff (the
-    // spin → yield → sleep ladder in runtime.cc, DESIGN.md §7).
-    std::chrono::microseconds worker_idle_sleep{100};
-    // Event-driven wakeup (DESIGN.md §13): when set, a worker that
-    // reaches the sleep rungs of the idle ladder parks on the runtime
-    // doorbell instead of a fixed-length sleep — the client's Submit
-    // rings it, so low-load dequeue latency is one condvar wakeup
-    // rather than a sleep-quantum gamble. The spin/yield rungs are
-    // untouched (busy traffic never reaches the doorbell), and false
-    // means the exact pre-doorbell ladder, bit for bit.
-    bool event_wakeup = false;
     ipc::IpcManager::Options ipc;
     StackNamespace::Options ns;
     // Optional metrics/tracing sink (not owned; must outlive the
@@ -100,10 +91,22 @@ class Runtime {
     module_manager_.SubmitUpgrade(std::move(request));
   }
 
-  // Executes one request against its stack (worker path; also used by
-  // sync-mode clients inline). Uses a per-thread ExecScratch, so
-  // steady-state calls perform no heap allocation.
+  // Executes one request inline in the caller (the sync-mode client
+  // path): the lifecycle below, behind the quiesce gate, with the
+  // thread's own ledger. Steady-state calls perform no heap allocation.
   Status Execute(ipc::Request& req);
+
+  // The request lifecycle, one for every executor and both clocks
+  // (DESIGN.md §4 decision 2): the inline quiesce gate, StackExec
+  // dispatch into the caller's `trace`, Request::Complete, and the
+  // telemetry tap on ModContext::telemetry. `queued` executions (the
+  // worker loop) skip the gate: their queue's UPDATE_PENDING mark
+  // holds them back instead. A null `stack` resolves req.stack_id
+  // through the thread's epoch-validated cache, after the gate;
+  // SimRuntime hands over the Stack it holds, because one DES thread
+  // drives several runtimes and would thrash that cache.
+  Status ExecuteWith(ipc::Request& req, ExecTrace& trace,
+                     Stack* stack = nullptr, bool queued = false);
 
   // --- deterministic admin stepping (DST lifecycle scheduler) ---
   // One admin pass, inline in the caller: process queued upgrades
@@ -154,21 +157,16 @@ class Runtime {
   uint64_t assignment_generation() const {
     return assign_generation_.load(std::memory_order_acquire);
   }
-  // Submission doorbell: clients ring after every enqueue. With
-  // event_wakeup the ring wakes doorbell-parked workers; without, it
-  // only ticks the counter (so the polled/event comparison can report
-  // rings in both configurations).
-  void RingDoorbell();
+  // Submission doorbell: clients ring after every enqueue. Workers
+  // poll, so a ring only ticks the counter.
+  void RingDoorbell() {
+    doorbell_rings_.fetch_add(1, std::memory_order_relaxed);
+  }
   uint64_t doorbell_rings() const {
     return doorbell_rings_.load(std::memory_order_relaxed);
   }
-  // Doorbell waits that ended because a ring arrived (vs timing out at
-  // the backoff ceiling).
-  uint64_t doorbell_wakeups() const {
-    return doorbell_wakeups_.load(std::memory_order_relaxed);
-  }
-  // Idle passes that reached a sleep rung (fixed sleep or doorbell
-  // park) — the idle-poll work the spin/yield rungs did not absorb.
+  // Idle passes that reached a sleep rung — the idle-poll work the
+  // spin/yield rungs did not absorb.
   uint64_t idle_sleeps() const {
     return idle_sleeps_.load(std::memory_order_relaxed);
   }
@@ -185,21 +183,6 @@ class Runtime {
     std::vector<std::vector<ipc::QueuePair*>> per_worker;
   };
 
-  // Per-thread execution scratch: reused trace + exec + an epoch-
-  // validated stack cache so the hot path never locks the namespace
-  // or allocates after warm-up.
-  struct ExecScratch {
-    ExecScratch() {
-      trace.Reserve(/*sw_entries=*/32, /*dev_ops=*/16);
-      exec.ReserveCallStack(32);
-      stacks.reserve(16);
-    }
-    ExecTrace trace;
-    StackExec exec;
-    std::vector<std::pair<uint32_t, Stack*>> stacks;
-    uint64_t ns_epoch = 0;
-  };
-
   // Hot-path metric handles, resolved once at construction so worker
   // loops never hit the registry map (see MetricsRegistry docs).
   struct WiredMetrics {
@@ -211,8 +194,6 @@ class Runtime {
     telemetry::Gauge* active_workers = nullptr;
   };
 
-  Status ExecuteWith(ipc::Request& req, ExecScratch& scratch);
-  Stack* LookupStack(uint32_t stack_id, ExecScratch& scratch);
   // One upgrade-processing pass with the quiesce gate raised for its
   // duration (shared by StepAdmin and AdminLoop).
   Status RunUpgradePass();
@@ -275,18 +256,7 @@ class Runtime {
   std::shared_ptr<const AssignmentTable> assign_table_;
   std::atomic<uint64_t> assign_generation_{0};
 
-  // Doorbell protocol: Submit bumps the sequence (release) and
-  // notifies; a worker captures the sequence before its poll pass and
-  // parks only while it is unchanged — a ring landing between the
-  // empty poll and the park flips the predicate, so no wakeup is ever
-  // lost. The mutex guards only the park/notify rendezvous; the hot
-  // submit path touches one atomic and, in event mode, an uncontended
-  // lock/unlock.
-  std::atomic<uint64_t> doorbell_seq_{0};
-  std::mutex doorbell_mu_;
-  std::condition_variable doorbell_cv_;
   std::atomic<uint64_t> doorbell_rings_{0};
-  std::atomic<uint64_t> doorbell_wakeups_{0};
   std::atomic<uint64_t> idle_sleeps_{0};
 };
 

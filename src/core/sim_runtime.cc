@@ -3,14 +3,20 @@
 #include <algorithm>
 
 namespace labstor::core {
+namespace {
+
+Runtime::Options HostedOptions(size_t num_workers) {
+  Runtime::Options options;
+  options.max_workers = num_workers;
+  return options;
+}
+
+}  // namespace
 
 SimRuntime::SimRuntime(sim::Environment& env, simdev::DeviceRegistry& devices,
                        size_t num_workers, const sim::SoftwareCosts& costs)
-    : env_(env), costs_(costs) {
-  ctx_.devices = &devices;
-  ctx_.costs = &costs_;
-  ctx_.num_workers = static_cast<uint32_t>(num_workers);
-  ctx_.ns_epoch = &namespace_.epoch_ref();
+    : env_(env), costs_(costs), rt_(HostedOptions(num_workers), devices) {
+  rt_.mod_context().costs = &costs_;
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     workers_.push_back(std::make_unique<sim::Resource>(env_, 1));
@@ -22,7 +28,7 @@ SimRuntime::SimRuntime(sim::Environment& env, simdev::DeviceRegistry& devices,
 }
 
 Result<Stack*> SimRuntime::Mount(const StackSpec& spec) {
-  return namespace_.Mount(spec, registry_, ctx_, ipc::kRuntimeCreds);
+  return rt_.MountStack(spec, ipc::kRuntimeCreds);
 }
 
 Result<Stack*> SimRuntime::MountYaml(const std::string& yaml) {
@@ -31,9 +37,24 @@ Result<Stack*> SimRuntime::MountYaml(const std::string& yaml) {
 }
 
 void SimRuntime::AttachTelemetry(telemetry::Telemetry* tel) {
+  // The sink rides on the hosted Runtime's ModContext only: its
+  // Options::telemetry stays null, so the wall-clock rebalance spans
+  // MountStack records never reach a virtual-time trace.
   tel_ = tel;
-  ctx_.telemetry = tel;
-  if (tel != nullptr) tel->set_virtual_time(true);
+  rt_.mod_context().telemetry = tel;
+  wired_ = WiredMetrics{};
+  if (tel == nullptr) return;
+  tel->set_virtual_time(true);
+  telemetry::MetricsRegistry& m = tel->metrics();
+  wired_.rebalances = m.GetCounter("orchestrator.rebalance.count");
+  wired_.active_workers = m.GetGauge("orchestrator.workers.active");
+  wired_.polled_completions = m.GetCounter("device.completion.polled");
+  wired_.interrupt_completions = m.GetCounter("device.completion.interrupts");
+  wired_.wakeup_ns = m.GetHistogram("device.wakeup.latency_ns");
+  wired_.worker_requests = m.GetCounter("runtime.worker.requests");
+  wired_.latency_ns = m.GetHistogram("runtime.request.latency_ns");
+  wired_.queue_wait_ns = m.GetHistogram("ipc.queue.wait_ns");
+  wired_.queue_depth = m.GetHistogram("ipc.queue.depth");
 }
 
 void SimRuntime::RegisterQueue(uint32_t qid, sim::Time est_processing) {
@@ -57,10 +78,8 @@ void SimRuntime::ApplyAssignment(const Assignment& assignment) {
   }
   if (Traced()) {
     const size_t active = ActiveWorkers();
-    tel_->metrics().GetCounter("orchestrator.rebalance.count")->Inc();
-    tel_->metrics()
-        .GetGauge("orchestrator.workers.active")
-        ->Set(static_cast<int64_t>(active));
+    wired_.rebalances->Inc();
+    wired_.active_workers->Set(static_cast<int64_t>(active));
     // The decision itself is instantaneous in virtual time (dur 0);
     // the span marks *when* the load was repartitioned.
     tel_->trace().Span(0, telemetry::kCatOrchestrator, "rebalance",
@@ -122,14 +141,11 @@ sim::Task<void> SimRuntime::TimedDevOp(ExecTrace::DevOp op, uint32_t worker) {
   if (Traced()) {
     tel_->trace().Span(worker, telemetry::kCatDevice, op.Summary(), t0,
                        env_.now() - t0, "channel", op.channel);
-    tel_->metrics()
-        .GetCounter(delivery != 0 ? "device.completion.interrupts"
-                                  : "device.completion.polled")
-        ->Inc(worker);
     if (delivery != 0) {
-      tel_->metrics()
-          .GetHistogram("device.wakeup.latency_ns")
-          ->Record(delivery, worker);
+      wired_.interrupt_completions->Inc(worker);
+      wired_.wakeup_ns->Record(delivery, worker);
+    } else {
+      wired_.polled_completions->Inc(worker);
     }
   }
 }
@@ -151,8 +167,9 @@ void SimRuntime::ReleaseTrace(ExecTrace* trace) {
 }
 
 sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
-                                      ipc::Request& req) {
-  // Functional execution is immediate; the trace carries the time.
+                                      ipc::Request& req, ExecTrace* ledger) {
+  // Functional execution is immediate (the Runtime's own lifecycle);
+  // the trace carries the time.
   const TraceLease lease(this, AcquireTrace());
   ExecTrace& trace = *lease.trace;
   // Pointer, not iterator: QueueState nodes are stable across rehash,
@@ -161,9 +178,8 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
   QueueState* qstate = qit != queues_.end() ? &qit->second : nullptr;
   req.worker = static_cast<uint32_t>(qstate != nullptr ? qstate->worker
                                                        : qid % workers_.size());
-  exec_scratch_.Reset(stack, ctx_, trace);
-  const Status st = exec_scratch_.Dispatch(req);
-  req.Complete(st.ok() ? StatusCode::kOk : st.code(), req.result_u64);
+  const Status st = rt_.ExecuteWith(req, trace, &stack);
+  if (ledger != nullptr) *ledger = trace;
   const sim::Time submitted = env_.now();
   // Replays the ledger as per-mod "mod" spans in virtual time: spans
   // are stamped arithmetically across the one Delay covering the
@@ -192,11 +208,8 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
     }
     ++requests_done_;
     if (Traced()) {
-      trace.PublishTo(*tel_, req.worker);
-      tel_->metrics().GetCounter("runtime.worker.requests")->Inc(req.worker);
-      tel_->metrics()
-          .GetHistogram("runtime.request.latency_ns")
-          ->Record(env_.now() - submitted, req.worker);
+      wired_.worker_requests->Inc(req.worker);
+      wired_.latency_ns->Record(env_.now() - submitted, req.worker);
     }
     co_return st;
   }
@@ -216,10 +229,8 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
     tel_->trace().Span(static_cast<uint32_t>(wid), telemetry::kCatQueue,
                        "queue.wait", enqueued, env_.now() - enqueued, "qid",
                        qid);
-    tel_->metrics()
-        .GetHistogram("ipc.queue.wait_ns")
-        ->Record(env_.now() - enqueued, wid);
-    tel_->metrics().GetHistogram("ipc.queue.depth")->Record(queue.backlog, wid);
+    wired_.queue_wait_ns->Record(env_.now() - enqueued, wid);
+    wired_.queue_depth->Record(queue.backlog, wid);
   }
   sim::Time start = env_.now();
   co_await env_.Delay(costs_.worker_poll + Perturb("worker_poll") +
@@ -267,11 +278,8 @@ sim::Task<Status> SimRuntime::Execute(uint32_t qid, Stack& stack,
   co_await env_.Delay(costs_.shm_complete + Perturb("shm_complete"));
   ++requests_done_;
   if (Traced()) {
-    trace.PublishTo(*tel_, static_cast<uint32_t>(wid));
-    tel_->metrics().GetCounter("runtime.worker.requests")->Inc(wid);
-    tel_->metrics()
-        .GetHistogram("runtime.request.latency_ns")
-        ->Record(env_.now() - submitted, wid);
+    wired_.worker_requests->Inc(wid);
+    wired_.latency_ns->Record(env_.now() - submitted, wid);
   }
   co_return st;
 }

@@ -1,12 +1,14 @@
-// SimRuntime: the Runtime's execution semantics under the DES.
+// SimRuntime: the Runtime under the DES clock.
 //
 // Benches cannot use wall-clock worker threads to reproduce the
-// paper's 24-core results on this host, so SimRuntime re-creates the
-// async execution path in virtual time while running the *same*
-// library code everywhere it matters:
-//   * stacks are mounted through the real StackNamespace/ModuleRegistry;
-//   * requests run through the real StackExec/mod Process functions
-//     (functional effects are immediate);
+// paper's 24-core results on this host, so SimRuntime wraps a real
+// core::Runtime that is never Started and adds only the virtual clock
+// (DESIGN.md §4 decision 2: the DES replaces *when*, not *what*):
+//   * stacks mount through the Runtime's StackNamespace/ModuleRegistry,
+//     and module upgrades run its ModuleManager (StepAdmin);
+//   * requests run through Runtime::ExecuteWith, the one lifecycle the
+//     worker loop and inline sync path share (functional effects are
+//     immediate);
 //   * the recorded ExecTrace is then replayed as virtual time: IPC
 //     hops, worker occupancy (FIFO per simulated worker, as assigned
 //     by a real WorkOrchestrator policy), and contended device ops.
@@ -23,10 +25,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/module_registry.h"
 #include "core/orchestrator.h"
-#include "core/stack.h"
-#include "core/stack_exec.h"
+#include "core/runtime.h"
 #include "sim/cost_model.h"
 #include "sim/environment.h"
 #include "simdev/registry.h"
@@ -48,7 +48,9 @@ class SimRuntime {
 
   // Execute one request from queue `qid` through `stack`, honoring its
   // exec mode. Returns when the completion would reach the client.
-  sim::Task<Status> Execute(uint32_t qid, Stack& stack, ipc::Request& req);
+  // A non-null `ledger` receives a copy of the request's ExecTrace.
+  sim::Task<Status> Execute(uint32_t qid, Stack& stack, ipc::Request& req,
+                            ExecTrace* ledger = nullptr);
 
   // --- orchestration ---
   void ApplyAssignment(const Assignment& assignment);
@@ -85,9 +87,10 @@ class SimRuntime {
   uint64_t polled_completions() const { return polled_completions_; }
   uint64_t interrupt_completions() const { return interrupt_completions_; }
 
-  ModuleRegistry& registry() { return registry_; }
-  StackNamespace& ns() { return namespace_; }
-  ModContext& ctx() { return ctx_; }
+  // The hosted Runtime (control plane: SubmitUpgrade, StepAdmin).
+  Runtime& runtime() { return rt_; }
+  ModuleRegistry& registry() { return rt_.registry(); }
+  StackNamespace& ns() { return rt_.ns(); }
   const sim::SoftwareCosts& costs() const { return costs_; }
 
  private:
@@ -101,10 +104,23 @@ class SimRuntime {
   sim::Task<void> RebalanceLoop(WorkOrchestrator* policy, sim::Time period);
   std::vector<QueueLoad> SnapshotLoads() const;
 
+  // Virtual-time metric handles, resolved once in AttachTelemetry.
+  struct WiredMetrics {
+    telemetry::Counter* rebalances = nullptr;
+    telemetry::Gauge* active_workers = nullptr;
+    telemetry::Counter* polled_completions = nullptr;
+    telemetry::Counter* interrupt_completions = nullptr;
+    telemetry::LatencyHistogram* wakeup_ns = nullptr;
+    telemetry::Counter* worker_requests = nullptr;
+    telemetry::LatencyHistogram* latency_ns = nullptr;
+    telemetry::LatencyHistogram* queue_wait_ns = nullptr;
+    telemetry::LatencyHistogram* queue_depth = nullptr;
+  };
+
   // Trace pool: an Execute coroutine's ExecTrace must outlive its
   // suspensions (device replay reads it after co_awaits), so it cannot
-  // be a shared scratch like the StackExec — but allocating a fresh
-  // ledger per request made the 100+-core sweep allocation-bound.
+  // be the thread's shared ledger — but allocating a fresh ledger per
+  // request made the 100+-core sweep allocation-bound.
   // Acquire pops a recycled ledger (or mints one); the lease returns
   // it when the coroutine frame dies.
   ExecTrace* AcquireTrace();
@@ -126,9 +142,8 @@ class SimRuntime {
 
   sim::Environment& env_;
   const sim::SoftwareCosts& costs_;
-  ModuleRegistry registry_;
-  StackNamespace namespace_;
-  ModContext ctx_;
+  Runtime rt_;
+  WiredMetrics wired_;
 
   std::vector<std::unique_ptr<sim::Resource>> workers_;
   std::vector<sim::Time> busy_ns_;
@@ -141,13 +156,9 @@ class SimRuntime {
   std::unordered_map<uint32_t, QueueState> queues_;
   uint64_t polled_completions_ = 0;
   uint64_t interrupt_completions_ = 0;
-  // Recycled ExecTrace ledgers (see AcquireTrace) and the shared
-  // functional-dispatch scratch. The StackExec is safe to share across
-  // in-flight requests because Dispatch() completes before Execute's
-  // first co_await — no coroutine ever suspends while bound to it.
+  // Recycled ExecTrace ledgers (see AcquireTrace).
   std::vector<std::unique_ptr<ExecTrace>> trace_pool_;
   std::vector<ExecTrace*> free_traces_;
-  StackExec exec_scratch_;
   uint64_t requests_done_ = 0;
   telemetry::Telemetry* tel_ = nullptr;
   ScheduleHook schedule_hook_;

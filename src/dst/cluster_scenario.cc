@@ -7,8 +7,19 @@
 #include <utility>
 #include <vector>
 
+#include "dst/lifecycle.h"
+
 namespace labstor::dst {
 namespace {
+
+// The library registers labkvs v1 and v2; a round past v2 registers
+// the same code under its version first.
+void EnsureLabKvsRegistered(uint32_t version) {
+  // kAlreadyExists is fine: an earlier run registered it.
+  (void)core::ModFactory::Global().Register(
+      "labkvs", version,
+      [version] { return std::make_unique<labmods::LabKvsMod>(version); });
+}
 
 struct OpResult {
   Status status;
@@ -445,6 +456,7 @@ Status ScenarioRunner::DoRejoin() {
 
 Status ScenarioRunner::DoUpgrade() {
   ++version_;
+  EnsureLabKvsRegistered(version_);
   auto res = std::make_shared<OpResult>();
   std::vector<std::pair<std::shared_ptr<OpResult>, std::string>> puts, gets;
   const auto sizes_before = model_;
@@ -456,10 +468,19 @@ Status ScenarioRunner::DoUpgrade() {
                 " failed: " + res->status.message());
   }
   for (const uint32_t id : cluster().LiveNodeIds()) {
-    const cluster::ClusterNode* n = cluster().node(id);
+    cluster::ClusterNode* n = cluster().node(id);
     if (n->version() != version_) {
       return Fail("node " + std::to_string(id) + " missed upgrade to v" +
                   std::to_string(version_));
+    }
+    // The round ran the node Runtime's real upgrade protocol: its
+    // quiesce must be fully released and its stack rebound.
+    core::Runtime& runtime = n->rt().runtime();
+    Status st = QuiesceCorrectnessInvariant::Check(runtime);
+    if (st.ok()) st = NamespaceEpochCoherenceInvariant::Check(runtime);
+    if (!st.ok()) {
+      return Fail("node " + std::to_string(id) + " after upgrade to v" +
+                  std::to_string(version_) + ": " + st.message());
     }
   }
   ++stats_.upgrades;

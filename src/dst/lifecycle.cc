@@ -280,7 +280,11 @@ Status ConfigPreservationInvariant::Check(const LifecycleContext& ctx) const {
 }
 
 Status QuiesceCorrectnessInvariant::Check(const LifecycleContext& ctx) const {
-  ipc::IpcManager& ipc = ctx.rig.runtime().ipc();
+  return Check(ctx.rig.runtime());
+}
+
+Status QuiesceCorrectnessInvariant::Check(core::Runtime& runtime) {
+  ipc::IpcManager& ipc = runtime.ipc();
   // Checks run between events, never inside an upgrade: the barrier
   // must be fully released.
   if (ipc.quiescing()) {
@@ -305,7 +309,10 @@ Status QuiesceCorrectnessInvariant::Check(const LifecycleContext& ctx) const {
 
 Status NamespaceEpochCoherenceInvariant::Check(
     const LifecycleContext& ctx) const {
-  core::Runtime& runtime = ctx.rig.runtime();
+  return Check(ctx.rig.runtime());
+}
+
+Status NamespaceEpochCoherenceInvariant::Check(core::Runtime& runtime) {
   const core::StackNamespace& ns = runtime.ns();
   const core::ModuleRegistry& reg = runtime.registry();
   std::vector<std::string> mounts = ns.Mounts();

@@ -203,6 +203,9 @@ class QuiesceCorrectnessInvariant final : public LifecycleInvariant {
  public:
   std::string_view name() const override { return "quiesce-correctness"; }
   Status Check(const LifecycleContext& ctx) const override;
+  // Reads only the Runtime, so the cluster scenario runs it on every
+  // node after each rolling-upgrade round.
+  static Status Check(core::Runtime& runtime);
 };
 
 // (d) Every mounted stack resolves by id to itself and every vertex's
@@ -212,6 +215,8 @@ class NamespaceEpochCoherenceInvariant final : public LifecycleInvariant {
  public:
   std::string_view name() const override { return "namespace-epoch-coherence"; }
   Status Check(const LifecycleContext& ctx) const override;
+  // Reads only the Runtime (see QuiesceCorrectnessInvariant).
+  static Status Check(core::Runtime& runtime);
 };
 
 // The four shipped invariants (static storage; pointers stay valid).

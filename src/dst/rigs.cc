@@ -67,99 +67,47 @@ Result<Mod*> FindMod(core::Runtime& runtime, const std::string& uuid) {
   return typed;
 }
 
-template <typename Rig>
-Status InitRig(Rig& rig, simdev::DeviceRegistry& devices,
-               core::Runtime& runtime, core::Client& client,
-               const char* stack_yaml, core::Stack** stack_out,
-               simdev::SimDevice** device_out) {
+}  // namespace
+
+CrashRig::CrashRig()
+    : devices_(nullptr),
+      runtime_(RigOptions(), devices_),
+      client_(runtime_, ipc::Credentials{100, 1000, 1000}),
+      fs_(client_),
+      kvs_(client_) {}
+
+Status CrashRig::Init(StackKind kind) {
   LABSTOR_ASSIGN_OR_RETURN(
-      device, devices.Create(simdev::DeviceParams::NvmeP3700(kDeviceBytes)));
-  *device_out = device;
-  LABSTOR_ASSIGN_OR_RETURN(spec, core::StackSpec::Parse(stack_yaml));
-  LABSTOR_ASSIGN_OR_RETURN(stack,
-                           runtime.MountStack(spec, ipc::Credentials{1, 0, 0}));
-  *stack_out = stack;
-  LABSTOR_RETURN_IF_ERROR(client.Connect());
-  (void)rig;
+      device, devices_.Create(simdev::DeviceParams::NvmeP3700(kDeviceBytes)));
+  device_ = device;
+  const char* yaml = kind == StackKind::kLabFs    ? kFsStackYaml
+                     : kind == StackKind::kLabKvs ? kKvsStackYaml
+                                                  : kPushdownKvsStackYaml;
+  LABSTOR_ASSIGN_OR_RETURN(spec, core::StackSpec::Parse(yaml));
+  LABSTOR_ASSIGN_OR_RETURN(
+      stack, runtime_.MountStack(spec, ipc::Credentials{1, 0, 0}));
+  stack_ = stack;
+  LABSTOR_RETURN_IF_ERROR(client_.Connect());
+  if (kind == StackKind::kLabFs) {
+    LABSTOR_ASSIGN_OR_RETURN(labfs,
+                             FindMod<labmods::LabFsMod>(runtime_, "labfs_dst"));
+    labfs_ = labfs;
+    return Status::Ok();
+  }
+  LABSTOR_ASSIGN_OR_RETURN(labkvs,
+                           FindMod<labmods::LabKvsMod>(runtime_, "labkvs_dst"));
+  labkvs_ = labkvs;
+  if (kind == StackKind::kPushdownKvs) {
+    LABSTOR_ASSIGN_OR_RETURN(pd,
+                             FindMod<labmods::PushdownMod>(runtime_, "pd_dst"));
+    pushdown_ = pd;
+  }
   return Status::Ok();
 }
 
-}  // namespace
-
-SyncFsRig::SyncFsRig()
-    : devices_(nullptr),
-      runtime_(RigOptions(), devices_),
-      client_(runtime_, ipc::Credentials{100, 1000, 1000}),
-      fs_(client_) {
-  init_status_ = InitRig(*this, devices_, runtime_, client_, kFsStackYaml,
-                         &stack_, &device_);
-  if (init_status_.ok()) {
-    auto mod = FindMod<labmods::LabFsMod>(runtime_, "labfs_dst");
-    if (mod.ok()) {
-      labfs_ = *mod;
-    } else {
-      init_status_ = mod.status();
-    }
-  }
-}
-
-Result<std::unique_ptr<SyncFsRig>> SyncFsRig::Create() {
-  std::unique_ptr<SyncFsRig> rig(new SyncFsRig());
-  LABSTOR_RETURN_IF_ERROR(rig->init_status_);
-  return rig;
-}
-
-SyncKvsRig::SyncKvsRig()
-    : devices_(nullptr),
-      runtime_(RigOptions(), devices_),
-      client_(runtime_, ipc::Credentials{100, 1000, 1000}),
-      kvs_(client_) {
-  init_status_ = InitRig(*this, devices_, runtime_, client_, kKvsStackYaml,
-                         &stack_, &device_);
-  if (init_status_.ok()) {
-    auto mod = FindMod<labmods::LabKvsMod>(runtime_, "labkvs_dst");
-    if (mod.ok()) {
-      labkvs_ = *mod;
-    } else {
-      init_status_ = mod.status();
-    }
-  }
-}
-
-Result<std::unique_ptr<SyncKvsRig>> SyncKvsRig::Create() {
-  std::unique_ptr<SyncKvsRig> rig(new SyncKvsRig());
-  LABSTOR_RETURN_IF_ERROR(rig->init_status_);
-  return rig;
-}
-
-PushdownKvsRig::PushdownKvsRig()
-    : devices_(nullptr),
-      runtime_(RigOptions(), devices_),
-      client_(runtime_, ipc::Credentials{100, 1000, 1000}),
-      kvs_(client_) {
-  init_status_ = InitRig(*this, devices_, runtime_, client_,
-                         kPushdownKvsStackYaml, &stack_, &device_);
-  if (init_status_.ok()) {
-    auto mod = FindMod<labmods::LabKvsMod>(runtime_, "labkvs_dst");
-    if (mod.ok()) {
-      labkvs_ = *mod;
-    } else {
-      init_status_ = mod.status();
-    }
-  }
-  if (init_status_.ok()) {
-    auto mod = FindMod<labmods::PushdownMod>(runtime_, "pd_dst");
-    if (mod.ok()) {
-      pushdown_ = *mod;
-    } else {
-      init_status_ = mod.status();
-    }
-  }
-}
-
-Result<std::unique_ptr<PushdownKvsRig>> PushdownKvsRig::Create() {
-  std::unique_ptr<PushdownKvsRig> rig(new PushdownKvsRig());
-  LABSTOR_RETURN_IF_ERROR(rig->init_status_);
+Result<std::unique_ptr<CrashRig>> CrashRig::Create(StackKind kind) {
+  std::unique_ptr<CrashRig> rig(new CrashRig());
+  LABSTOR_RETURN_IF_ERROR(rig->Init(kind));
   return rig;
 }
 

@@ -27,108 +27,55 @@
 
 namespace labstor::dst {
 
-class CrashRig {
- public:
-  virtual ~CrashRig() = default;
-
-  virtual simdev::SimDevice& device() = 0;
-  virtual core::Runtime& runtime() = 0;
-  virtual core::Client& client() = 0;
-  virtual core::Stack& stack() = 0;
-  // The metadata log under test (defines the crash-point boundaries).
-  virtual const labmods::MetadataLog* log() const = 0;
-
-  // What a restarted administrator does: StateRepair on every mod.
-  Status Recover() { return runtime().registry().RepairAll(); }
-
-  // Typed access; null on rigs that don't host that mod.
-  virtual labmods::GenericFs* fs() { return nullptr; }
-  virtual labmods::GenericKvs* kvs() { return nullptr; }
-  virtual labmods::LabFsMod* labfs() { return nullptr; }
-  virtual labmods::LabKvsMod* labkvs() { return nullptr; }
-  virtual labmods::PushdownMod* pushdown() { return nullptr; }
+// What a crash rig hosts. Each kind differs only in its stack YAML
+// and in which mods the rig looks up; every stack is sync mode on a
+// 1-worker Runtime over one kernel_driver device.
+enum class StackKind : uint8_t {
+  kLabFs,        // labfs -> kernel_driver, mounted at fs::/dst
+  kLabKvs,       // labkvs -> kernel_driver, mounted at kvs::/dst
+  // pushdown -> labkvs -> kernel_driver, mounted at kvs::/dst: the
+  // chain interpreter runs inline in the caller, so every journal
+  // append a chain step produces lands in strict sequence order and
+  // the crash-point enumerator can tear the log at every chain-step
+  // boundary.
+  kPushdownKvs,
 };
 
-// LabFS over kernel_driver, mounted at fs::/dst, sync mode, 1 worker.
-class SyncFsRig final : public CrashRig {
+class CrashRig {
  public:
-  static Result<std::unique_ptr<SyncFsRig>> Create();
+  static Result<std::unique_ptr<CrashRig>> Create(StackKind kind);
 
-  simdev::SimDevice& device() override { return *device_; }
-  core::Runtime& runtime() override { return runtime_; }
-  core::Client& client() override { return client_; }
-  core::Stack& stack() override { return *stack_; }
-  const labmods::MetadataLog* log() const override { return labfs_->log(); }
-  labmods::GenericFs* fs() override { return &fs_; }
-  labmods::LabFsMod* labfs() override { return labfs_; }
+  simdev::SimDevice& device() { return *device_; }
+  core::Runtime& runtime() { return runtime_; }
+  core::Client& client() { return client_; }
+  core::Stack& stack() { return *stack_; }
+  // The metadata log under test (defines the crash-point boundaries).
+  const labmods::MetadataLog* log() const {
+    return labfs_ != nullptr ? labfs_->log() : labkvs_->log();
+  }
+
+  // What a restarted administrator does: StateRepair on every mod.
+  Status Recover() { return runtime_.registry().RepairAll(); }
+
+  // Typed access; null on rigs that don't host that mod.
+  labmods::GenericFs* fs() { return labfs_ != nullptr ? &fs_ : nullptr; }
+  labmods::GenericKvs* kvs() { return labkvs_ != nullptr ? &kvs_ : nullptr; }
+  labmods::LabFsMod* labfs() { return labfs_; }
+  labmods::LabKvsMod* labkvs() { return labkvs_; }
+  labmods::PushdownMod* pushdown() { return pushdown_; }
 
  private:
-  SyncFsRig();
-  Status init_status_;
+  CrashRig();
+  Status Init(StackKind kind);
 
   simdev::DeviceRegistry devices_;
   core::Runtime runtime_;
   core::Client client_;
   labmods::GenericFs fs_;
+  labmods::GenericKvs kvs_;
   simdev::SimDevice* device_ = nullptr;
   core::Stack* stack_ = nullptr;
   labmods::LabFsMod* labfs_ = nullptr;
-};
-
-// LabKVS over kernel_driver, mounted at kvs::/dst, sync mode, 1 worker.
-class SyncKvsRig final : public CrashRig {
- public:
-  static Result<std::unique_ptr<SyncKvsRig>> Create();
-
-  simdev::SimDevice& device() override { return *device_; }
-  core::Runtime& runtime() override { return runtime_; }
-  core::Client& client() override { return client_; }
-  core::Stack& stack() override { return *stack_; }
-  const labmods::MetadataLog* log() const override { return labkvs_->log(); }
-  labmods::GenericKvs* kvs() override { return &kvs_; }
-  labmods::LabKvsMod* labkvs() override { return labkvs_; }
-
- private:
-  SyncKvsRig();
-  Status init_status_;
-
-  simdev::DeviceRegistry devices_;
-  core::Runtime runtime_;
-  core::Client client_;
-  labmods::GenericKvs kvs_;
-  simdev::SimDevice* device_ = nullptr;
-  core::Stack* stack_ = nullptr;
-  labmods::LabKvsMod* labkvs_ = nullptr;
-};
-
-// Pushdown → LabKVS over kernel_driver, mounted at kvs::/dst, sync
-// mode, 1 worker: the chain interpreter runs inline in the caller, so
-// every journal append a chain step produces lands in strict sequence
-// order and the crash-point enumerator can tear the log at every
-// chain-step boundary.
-class PushdownKvsRig final : public CrashRig {
- public:
-  static Result<std::unique_ptr<PushdownKvsRig>> Create();
-
-  simdev::SimDevice& device() override { return *device_; }
-  core::Runtime& runtime() override { return runtime_; }
-  core::Client& client() override { return client_; }
-  core::Stack& stack() override { return *stack_; }
-  const labmods::MetadataLog* log() const override { return labkvs_->log(); }
-  labmods::GenericKvs* kvs() override { return &kvs_; }
-  labmods::LabKvsMod* labkvs() override { return labkvs_; }
-  labmods::PushdownMod* pushdown() override { return pushdown_; }
-
- private:
-  PushdownKvsRig();
-  Status init_status_;
-
-  simdev::DeviceRegistry devices_;
-  core::Runtime runtime_;
-  core::Client client_;
-  labmods::GenericKvs kvs_;
-  simdev::SimDevice* device_ = nullptr;
-  core::Stack* stack_ = nullptr;
   labmods::LabKvsMod* labkvs_ = nullptr;
   labmods::PushdownMod* pushdown_ = nullptr;
 };

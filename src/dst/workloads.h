@@ -58,23 +58,25 @@ Status StepKvsOp(labmods::GenericKvs& kvs, Schedule& sched,
                  KvsWorkloadState& state);
 
 // Random create/write/truncate/rename/unlink mix over a small file
-// population on a SyncFsRig. Records every ack into `model`.
+// population on a StackKind::kLabFs rig. Records every ack into `model`.
 Status RunFsWorkload(CrashRig& rig, Schedule& sched,
                      const DeviceJournal& journal, FsModel& model,
                      size_t num_ops);
 
-// Random put/delete (with read-back verification) mix on a SyncKvsRig.
+// Random put/delete (with read-back verification) mix on a
+// StackKind::kLabKvs rig.
 Status RunKvsWorkload(CrashRig& rig, Schedule& sched,
                       const DeviceJournal& journal, KvModel& model,
                       size_t num_ops);
 
-// Pushdown RMW-chain mix on a PushdownKvsRig: seeds a counter-bearing
-// value pool, registers a get-modify-put chain, then executes it
-// `num_chains` times through the IPC path with read-back verification.
-// Each acked chain is recorded in the KV model as a put of its final
-// value, and the durable-journal length after every chain step is
-// appended to `ledger.chain_step_boundaries` (via the PushdownMod step
-// hook) so the crash enumerator revisits every mid-chain state.
+// Pushdown RMW-chain mix on a StackKind::kPushdownKvs rig: seeds a
+// counter-bearing value pool, registers a get-modify-put chain, then
+// executes it `num_chains` times through the IPC path with read-back
+// verification. Each acked chain is recorded in the KV model as a put
+// of its final value, and the durable-journal length after every chain
+// step is appended to `ledger.chain_step_boundaries` (via the
+// PushdownMod step hook) so the crash enumerator revisits every
+// mid-chain state.
 Status RunPushdownWorkload(CrashRig& rig, Schedule& sched,
                            const DeviceJournal& journal,
                            WorkloadLedger& ledger, size_t num_chains);

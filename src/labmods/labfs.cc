@@ -242,7 +242,9 @@ Status LabFsMod::ForwardData(Inode& inode, ipc::Request& req,
     const uint64_t abs = offset + consumed;
     const uint64_t fb = abs / kBlockSize;
     const uint64_t intra = abs % kBlockSize;
-    const uint64_t phys = inode.blocks[fb];
+    // A truncate that extends the file grows its size but maps no
+    // blocks, so the block map can end before the size does.
+    const uint64_t phys = fb < inode.blocks.size() ? inode.blocks[fb] : 0;
     if (phys == 0) {
       if (is_write) {
         st = Status::Internal("hole in allocated write range");

@@ -350,5 +350,9 @@ std::vector<std::string> LabKvsMod::ListKeys() const {
 }
 
 LABSTOR_REGISTER_LABMOD("labkvs", 1, LabKvsMod);
+// The same code one version up: the target of the cluster's rolling
+// upgrade (Cluster::RollingUpgrade(2)).
+static const core::internal::ModRegistrar labstor_labkvs_v2(
+    "labkvs", 2, [] { return std::make_unique<LabKvsMod>(2); });
 
 }  // namespace labstor::labmods

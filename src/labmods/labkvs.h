@@ -26,7 +26,11 @@ class LabKvsMod final : public core::LabMod {
  public:
   static constexpr uint64_t kBlockSize = LogStore::kBlockSize;
 
-  LabKvsMod() : core::LabMod("labkvs", core::ModType::kKvs, 1) {}
+  // `version` lets upgrades install the same code under a higher
+  // version (the library registers v1 and v2; the DST cluster
+  // scenario registers the further versions its rounds reach).
+  explicit LabKvsMod(uint32_t version = 1)
+      : core::LabMod("labkvs", core::ModType::kKvs, version) {}
 
   Status Init(const yaml::NodePtr& params, core::ModContext& ctx) override;
   Status Process(ipc::Request& req, core::StackExec& exec) override;

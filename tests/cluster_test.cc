@@ -248,6 +248,16 @@ TEST(ClusterTest, RollingUpgradeKeepsClusterServing) {
                   return cluster.Put(0, 0, label, 2048);
                 }).ok());
   }
+  const auto kvs_of = [&cluster](uint32_t id) -> const core::LabMod* {
+    auto mod = cluster.node(id)->rt().registry().Find("kvs_n" +
+                                                      std::to_string(id));
+    return mod.ok() ? *mod : nullptr;
+  };
+  std::map<uint32_t, const core::LabMod*> before;
+  for (const uint32_t id : cluster.LiveNodeIds()) {
+    EXPECT_EQ(cluster.node(id)->version(), 1u);
+    before[id] = kvs_of(id);
+  }
 
   // Traffic overlapping the upgrade: puts land while nodes drain one
   // at a time (Execute holds arrivals at a draining node's door).
@@ -270,11 +280,31 @@ TEST(ClusterTest, RollingUpgradeKeepsClusterServing) {
 
   ASSERT_TRUE(upgrade_status->ok()) << upgrade_status->ToString();
   EXPECT_EQ(*traffic_failures, 0) << "no crash happened: every put must land";
+  // Each node's ModuleManager swapped in a new v2 labkvs object.
   for (const uint32_t id : cluster.LiveNodeIds()) {
     EXPECT_EQ(cluster.node(id)->version(), 2u);
+    EXPECT_NE(kvs_of(id), before[id]) << "node " << id;
+    EXPECT_NE(dynamic_cast<const labmods::LabKvsMod*>(kvs_of(id)), nullptr);
+    EXPECT_EQ(cluster.node(id)->rt().runtime().module_manager()
+                  .upgrades_applied(),
+              1u);
   }
   const Status strict = cluster.CheckInvariants(/*strict=*/true);
   ASSERT_TRUE(strict.ok()) << strict.ToString();
+  // The store moved with the instance: every label stays readable.
+  std::vector<std::string> labels = TestLabels(16);
+  for (int i = 0; i < 20; ++i) {
+    labels.push_back("t1/during_upgrade" + std::to_string(i));
+  }
+  for (const std::string& label : labels) {
+    uint64_t size = 0;
+    ASSERT_TRUE(Drive(**rig, [&] {
+                  return cluster.Get(0, 0, label, &size);
+                }).ok())
+        << label;
+    EXPECT_EQ(size, label.rfind("t1/during", 0) == 0 ? 1024u : 2048u)
+        << label;
+  }
 }
 
 // ---------------------------------------------------------------------------

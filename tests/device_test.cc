@@ -7,24 +7,18 @@
 //     recovery-visible device bytes whether completions are polled or
 //     interrupt-delivered — delivery affects time, never state;
 //   * crash enumeration at interrupt-delivery boundaries (op durable,
-//     waiter never notified: the classic lost-completion window);
-//   * doorbell/event wakeups in the real Runtime (workers parked in
-//     idle sleep wake on submit instead of waiting out the backoff).
+//     waiter never notified: the classic lost-completion window).
 //
 // Own main: dst::InitSeeds strips --dst_seed so failures replay.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/client.h"
 #include "core/debug_harness.h"
 #include "core/orchestrator.h"
-#include "core/runtime.h"
 #include "core/sim_runtime.h"
 #include "dst/crash_enum.h"
 #include "dst/invariants.h"
@@ -36,8 +30,6 @@
 
 namespace labstor {
 namespace {
-
-using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
 // Completion-mode resolution at attach time.
@@ -255,13 +247,7 @@ TEST(InterruptCrashEnumTest, LostCompletionWindowsRecoverConsistently) {
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
     dst::Schedule sched(seed);
     auto report = dst::EnumerateCrashPoints(
-        [] {
-          auto rig = dst::SyncFsRig::Create();
-          if (!rig.ok()) return Result<std::unique_ptr<dst::CrashRig>>(
-              rig.status());
-          return Result<std::unique_ptr<dst::CrashRig>>(
-              std::unique_ptr<dst::CrashRig>(std::move(*rig)));
-        },
+        [] { return dst::CrashRig::Create(dst::StackKind::kLabFs); },
         InterruptFsWorkload(kOps), invariants, sched);
     ASSERT_TRUE(report.ok()) << report.status().ToString() << "; "
                              << sched.ReplayHint();
@@ -274,82 +260,6 @@ TEST(InterruptCrashEnumTest, LostCompletionWindowsRecoverConsistently) {
         << report->Summary() << "\n"
         << sched.ReplayHint();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Doorbell wakeups in the real Runtime.
-// ---------------------------------------------------------------------------
-
-core::StackSpec DummyStack(const std::string& mount, const std::string& uuid) {
-  auto spec = core::StackSpec::Parse("mount: " + mount +
-                                     "\n"
-                                     "dag:\n"
-                                     "  - mod: dummy\n"
-                                     "    uuid: " +
-                                     uuid + "\n");
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  return *spec;
-}
-
-// Run `submits` spaced-out dummy requests and return the runtime's
-// doorbell counters. With long gaps and a high sleep ceiling workers
-// spend the gaps parked, so event wakeups (when enabled) must fire.
-struct DoorbellRun {
-  uint64_t rings = 0;
-  uint64_t wakeups = 0;
-  uint64_t sleeps = 0;
-};
-
-DoorbellRun RunDoorbellWorkload(bool event_wakeup, int submits) {
-  simdev::DeviceRegistry devices(nullptr);
-  EXPECT_TRUE(devices.Create(simdev::DeviceParams::NvmeP3700(16 << 20)).ok());
-  core::Runtime::Options options;
-  options.max_workers = 1;
-  options.admin_poll = 500ms;
-  options.event_wakeup = event_wakeup;
-  // A 50ms backoff ceiling makes un-doorbelled wakeups rare inside the
-  // 10ms submit gaps: without the doorbell each request would wait out
-  // most of a sleep; with it the parked worker wakes immediately.
-  options.worker_idle_sleep = 50000us;
-  core::Runtime runtime(std::move(options), devices);
-  auto stack = runtime.MountStack(DummyStack("ctl::/bell", "dummy_bell"),
-                                  ipc::Credentials{1, 0, 0});
-  EXPECT_TRUE(stack.ok());
-  EXPECT_TRUE(runtime.Start().ok());
-
-  core::Client client(runtime, ipc::Credentials{88, 1000, 1000});
-  EXPECT_TRUE(client.Connect().ok());
-  auto req = client.NewRequest();
-  EXPECT_TRUE(req.ok());
-  for (int i = 0; i < submits; ++i) {
-    std::this_thread::sleep_for(10ms);  // let the worker park
-    (*req)->Reuse();
-    (*req)->op = ipc::OpCode::kDummy;
-    EXPECT_TRUE(client.Execute(**req, **stack).ok()) << "submit " << i;
-  }
-
-  DoorbellRun run;
-  run.rings = runtime.doorbell_rings();
-  run.wakeups = runtime.doorbell_wakeups();
-  run.sleeps = runtime.idle_sleeps();
-  EXPECT_TRUE(runtime.Stop().ok());
-  return run;
-}
-
-TEST(DoorbellTest, ParkedWorkersWakeOnSubmit) {
-  const DoorbellRun run = RunDoorbellWorkload(/*event_wakeup=*/true, 20);
-  EXPECT_GE(run.rings, 20u) << "every successful submit rings";
-  EXPECT_GT(run.sleeps, 0u) << "the worker must have parked at all";
-  EXPECT_GE(run.wakeups, 1u)
-      << "no parked worker ever woke to a doorbell; submits waited out "
-         "the full idle backoff instead";
-}
-
-TEST(DoorbellTest, PollingModeCountsRingsButNeverParksOnThem) {
-  const DoorbellRun run = RunDoorbellWorkload(/*event_wakeup=*/false, 5);
-  EXPECT_GE(run.rings, 5u) << "rings are counted even when unused";
-  EXPECT_EQ(run.wakeups, 0u)
-      << "without event_wakeup the doorbell must not wake anyone";
 }
 
 }  // namespace

@@ -190,12 +190,8 @@ TEST(SimTraceTest, DifferentSeedsPerturbTheSchedule) {
 // prefix class, every invariant — across the whole seed sweep.
 // ---------------------------------------------------------------------------
 
-// Widens Result<unique_ptr<ConcreteRig>> to the factory's CrashRig.
-template <typename Rig>
-Result<std::unique_ptr<CrashRig>> MakeRig() {
-  auto rig = Rig::Create();
-  if (!rig.ok()) return rig.status();
-  return std::unique_ptr<CrashRig>(std::move(*rig));
+RigFactory RigOf(StackKind kind) {
+  return [kind] { return CrashRig::Create(kind); };
 }
 
 Workload FsWorkload(size_t num_ops) {
@@ -222,7 +218,7 @@ TEST(CrashEnumTest, LabFsEveryCrashPointRecoversConsistently) {
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
     Schedule sched(seed);
     auto report = EnumerateCrashPoints(
-        MakeRig<SyncFsRig>,
+        RigOf(StackKind::kLabFs),
         FsWorkload(25), invariants, sched);
     ASSERT_TRUE(report.ok()) << report.status().ToString() << "; "
                              << sched.ReplayHint();
@@ -245,7 +241,7 @@ TEST(CrashEnumTest, LabKvsEveryCrashPointRecoversConsistently) {
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
     Schedule sched(seed);
     auto report = EnumerateCrashPoints(
-        MakeRig<SyncKvsRig>,
+        RigOf(StackKind::kLabKvs),
         KvsWorkload(20), invariants, sched);
     ASSERT_TRUE(report.ok()) << report.status().ToString() << "; "
                              << sched.ReplayHint();
@@ -263,7 +259,7 @@ TEST(CrashEnumTest, EnumerationTraceIsDeterministic) {
     Schedule sched(seed);
     const LabFsNoOrphanedBlocks no_orphans;
     auto report = EnumerateCrashPoints(
-        MakeRig<SyncFsRig>,
+        RigOf(StackKind::kLabFs),
         FsWorkload(10), {&no_orphans}, sched);
     EXPECT_TRUE(report.ok());
     return sched.trace();
@@ -289,7 +285,7 @@ TEST(CrashEnumTest, FailingInvariantReportsReplayableSeed) {
   Schedule sched(0xBADBEEF);
   const AlwaysViolated bad;
   auto report = EnumerateCrashPoints(
-      MakeRig<SyncKvsRig>,
+      RigOf(StackKind::kLabKvs),
       KvsWorkload(4), {&bad}, sched);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_FALSE(report->failures.empty());

@@ -262,7 +262,6 @@ struct AsyncRig {
     core::Runtime::Options options;
     options.max_workers = workers;
     options.admin_poll = 2ms;
-    options.worker_idle_sleep = std::chrono::microseconds(50);
     options.ipc.request_timeout = request_timeout;
     return options;
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/client.h"
@@ -214,6 +215,26 @@ TEST_F(LabFsTest, TruncateShrinksAndFrees) {
   auto size = fs_.StatSize("fs::/t/trunc");
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, 5000u);
+}
+
+TEST_F(LabFsTest, ExtendingTruncateReadsZeros) {
+  auto fd = fs_.Create("fs::/t/grow");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs_.Write(*fd, Pattern(100), 0).ok());
+  // Truncate up to 3 blocks: the size grows, no block is mapped.
+  ipc::Request req;
+  auto stack = client_.ResolvePath("fs::/t/grow");
+  ASSERT_TRUE(stack.ok());
+  req.op = ipc::OpCode::kTruncate;
+  req.SetPath("fs::/t/grow");
+  req.offset = 3 * 4096;
+  ASSERT_TRUE(client_.Execute(req, **stack).ok());
+  std::vector<uint8_t> out(3 * 4096, 0xFF);
+  auto read = fs_.Read(*fd, out, 0);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, out.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 100, Pattern(100).begin()));
+  for (size_t i = 100; i < out.size(); ++i) ASSERT_EQ(out[i], 0) << i;
 }
 
 TEST_F(LabFsTest, FsyncSucceeds) {

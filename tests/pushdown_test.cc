@@ -125,7 +125,7 @@ std::vector<uint8_t> CounterValue(uint64_t counter, uint64_t tag) {
 }
 
 TEST(PushdownExecTest, PointerChaseRunsAtTheDeviceQueueLayer) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
   PushdownMod* pd = (*rig)->pushdown();
@@ -163,7 +163,7 @@ TEST(PushdownExecTest, PointerChaseRunsAtTheDeviceQueueLayer) {
 }
 
 TEST(PushdownExecTest, FilterStopsTheChainEarly) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
   PushdownMod* pd = (*rig)->pushdown();
@@ -201,7 +201,7 @@ TEST(PushdownExecTest, FilterStopsTheChainEarly) {
 }
 
 TEST(PushdownExecTest, RmwChainReadsModifiesAndPersists) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
 
@@ -222,7 +222,7 @@ TEST(PushdownExecTest, RmwChainReadsModifiesAndPersists) {
 }
 
 TEST(PushdownExecTest, FailedChainClosesItsTransaction) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
 
@@ -260,7 +260,7 @@ TEST(PushdownExecTest, FailedChainClosesItsTransaction) {
 }
 
 TEST(PushdownExecTest, ReRegistrationIsEpochGated) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   PushdownMod* pd = (*rig)->pushdown();
 
@@ -285,7 +285,7 @@ TEST(PushdownExecTest, ReRegistrationIsEpochGated) {
 }
 
 TEST(PushdownExecTest, UnknownChainAndNonChainTrafficBehave) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
 
@@ -316,7 +316,7 @@ TEST(PushdownReuseTest, ReuseClearsChainDescriptorAndCursor) {
 }
 
 TEST(PushdownReuseTest, ConsecutiveChainExecsOnOneSlotSucceed) {
-  auto rig = PushdownKvsRig::Create();
+  auto rig = CrashRig::Create(StackKind::kPushdownKvs);
   ASSERT_TRUE(rig.ok()) << rig.status().ToString();
   labmods::GenericKvs* kvs = (*rig)->kvs();
 
@@ -340,11 +340,8 @@ TEST(PushdownReuseTest, ConsecutiveChainExecsOnOneSlotSucceed) {
 // replays or leaves no acked effect, at EVERY chain-step boundary.
 // ---------------------------------------------------------------------------
 
-template <typename Rig>
 Result<std::unique_ptr<CrashRig>> MakeRig() {
-  auto rig = Rig::Create();
-  if (!rig.ok()) return rig.status();
-  return std::unique_ptr<CrashRig>(std::move(*rig));
+  return CrashRig::Create(StackKind::kPushdownKvs);
 }
 
 TEST(PushdownCrashTest, RmwChainAtomicAtEveryCrashPoint) {
@@ -387,7 +384,7 @@ TEST(PushdownCrashTest, RmwChainAtomicAtEveryCrashPoint) {
   const LabKvsAckedPutsVisible visible;
   const PushdownChainAtomicity atomic(key, before, after, &enforce_from);
   Schedule sched(SeedList().front());
-  auto report = EnumerateCrashPoints(MakeRig<PushdownKvsRig>, workload,
+  auto report = EnumerateCrashPoints(MakeRig, workload,
                                      {&visible, &atomic}, sched);
   ASSERT_TRUE(report.ok()) << report.status().ToString() << "; "
                            << sched.ReplayHint();
@@ -416,7 +413,7 @@ void SweepSeedsRecoverEveryAckedChain(size_t part) {
     SCOPED_TRACE("seed 0x" + std::to_string(seed));
     Schedule sched(seed);
     auto report = EnumerateCrashPoints(
-        MakeRig<PushdownKvsRig>,
+        MakeRig,
         [](CrashRig& rig, Schedule& s, const DeviceJournal& journal,
            WorkloadLedger& ledger) {
           return RunPushdownWorkload(rig, s, journal, ledger, kChains);
@@ -461,7 +458,7 @@ TEST(PushdownCrashTest, SameSeedReplaysByteIdentically) {
     Schedule sched(seed);
     const LabKvsAckedPutsVisible visible;
     auto report = EnumerateCrashPoints(
-        MakeRig<PushdownKvsRig>,
+        MakeRig,
         [](CrashRig& rig, Schedule& s, const DeviceJournal& journal,
            WorkloadLedger& ledger) {
           return RunPushdownWorkload(rig, s, journal, ledger, 5);

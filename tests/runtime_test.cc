@@ -36,7 +36,6 @@ class RuntimeTest : public ::testing::Test {
     Runtime::Options options;
     options.max_workers = 2;
     options.admin_poll = 2ms;
-    options.worker_idle_sleep = std::chrono::microseconds(50);
     return options;
   }
 

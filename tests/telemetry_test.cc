@@ -372,7 +372,6 @@ TEST(RealModeTelemetry, RuntimeWorkersEmitQueueAndModSpans) {
   core::Runtime::Options options;
   options.max_workers = 2;
   options.admin_poll = std::chrono::milliseconds(2);
-  options.worker_idle_sleep = std::chrono::microseconds(50);
   options.telemetry = &tel;
   core::Runtime runtime(std::move(options), devices);
   auto spec = core::StackSpec::Parse(
