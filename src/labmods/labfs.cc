@@ -372,6 +372,43 @@ Status LabFsMod::WriteZns(Inode& inode, ipc::Request& req,
   return st;
 }
 
+Status LabFsMod::WriteMapped(Inode& inode, ipc::Request& req,
+                             core::StackExec& exec) {
+  const uint64_t end = req.offset + req.length;
+  const uint64_t head = req.offset / kBlockSize;
+  const uint64_t tail = (end - 1) / kBlockSize;
+  const auto fresh = [&inode](uint64_t fb) {
+    return fb >= inode.blocks.size() || inode.blocks[fb] == 0;
+  };
+  const bool zero_head = fresh(head) && (req.offset % kBlockSize != 0 ||
+                                         end < (head + 1) * kBlockSize);
+  const bool zero_tail = tail != head && fresh(tail) && end % kBlockSize != 0;
+  LABSTOR_RETURN_IF_ERROR(
+      EnsureBlocks(inode, req.offset, req.length, req.worker, exec));
+  if (zero_head || zero_tail) {
+    const ipc::OpCode op = req.op;
+    const uint64_t offset = req.offset;
+    const uint64_t length = req.length;
+    uint8_t* const data = req.data;
+    alignas(8) uint8_t zeros[kBlockSize] = {};
+    const auto zero = [&](uint64_t fb) {
+      req.op = ipc::OpCode::kBlkWrite;
+      req.offset = inode.blocks[fb] * kBlockSize;
+      req.length = kBlockSize;
+      req.data = data == nullptr ? nullptr : zeros;
+      return exec.Forward(req);
+    };
+    Status st = zero_head ? zero(head) : Status::Ok();
+    if (st.ok() && zero_tail) st = zero(tail);
+    req.op = op;
+    req.offset = offset;
+    req.length = length;
+    req.data = data;
+    LABSTOR_RETURN_IF_ERROR(st);
+  }
+  return ForwardData(inode, req, exec, /*is_write=*/true);
+}
+
 Status LabFsMod::DoWrite(ipc::Request& req, core::StackExec& exec) {
   const std::string path(req.GetPath());
   InodePtr inode = Lookup(path);
@@ -384,10 +421,7 @@ Status LabFsMod::DoWrite(ipc::Request& req, core::StackExec& exec) {
   if (placement_ != nullptr) {
     LABSTOR_RETURN_IF_ERROR(WriteZns(*inode, req, exec));
   } else {
-    LABSTOR_RETURN_IF_ERROR(
-        EnsureBlocks(*inode, req.offset, req.length, req.worker, exec));
-    LABSTOR_RETURN_IF_ERROR(
-        ForwardData(*inode, req, exec, /*is_write=*/true));
+    LABSTOR_RETURN_IF_ERROR(WriteMapped(*inode, req, exec));
   }
   const uint64_t end = req.offset + req.length;
   if (end > inode->size) {

@@ -138,6 +138,11 @@ class LabFsMod : public core::LabMod {
   // along physical runs. Caller holds inode->mu.
   Status ForwardData(Inode& inode, ipc::Request& req, core::StackExec& exec,
                      bool is_write);
+  // Non-ZNS write path: maps the range's missing blocks, then forwards
+  // the payload. A block mapped by this write may be a freed block that
+  // still holds another file's bytes, so one that the write covers only
+  // in part is first written whole with zeros. Caller holds inode->mu.
+  Status WriteMapped(Inode& inode, ipc::Request& req, core::StackExec& exec);
   // ZNS write path: every touched file block is RMW-merged if partial
   // and appended to the active zone; the inode remaps to wherever the
   // device says the append landed. Caller holds inode->mu.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 #include "core/module_registry.h"
 
@@ -51,27 +52,95 @@ Status LruCacheMod::Init(const yaml::NodePtr& params, core::ModContext& ctx) {
   if (capacity_pages_ == 0) {
     return Status::InvalidArgument("cache capacity must be > 0 pages");
   }
+  if (capacity_pages_ >= (uint64_t{1} << 32)) {
+    return Status::InvalidArgument("cache capacity must be < 2^32 pages");
+  }
+  // Default-initialized: the kernel maps the arena's pages in as they
+  // are first written.
+  arena_.reset(new (std::nothrow) Page[capacity_pages_]);
+  if (arena_ == nullptr) {
+    return Status::ResourceExhausted("cache arena allocation failed");
+  }
   const size_t n = std::min(kMaxShards, capacity_pages_);
   shards_ = std::vector<Shard>(n);
+  Page* next = arena_.get();
   for (size_t i = 0; i < n; ++i) {
-    shards_[i].capacity = capacity_pages_ / n + (i < capacity_pages_ % n);
+    const auto pages =
+        static_cast<uint32_t>(capacity_pages_ / n + (i < capacity_pages_ % n));
+    shards_[i].Allocate(pages, next);
+    next += pages;
   }
   return Status::Ok();
 }
 
-LruCacheMod::Page& LruCacheMod::Shard::TouchOrCreate(uint64_t key) {
-  const auto it = index.find(key);
-  if (it != index.end()) {
-    lru.splice(lru.begin(), lru, it->second);
-    return *it->second;
+void LruCacheMod::Shard::Allocate(uint32_t pages_in_shard,
+                                  Page* first_page) {
+  capacity = pages_in_shard;
+  pages = first_page;
+  slots = std::make_unique_for_overwrite<Slot[]>(capacity);
+  const uint64_t buckets = std::bit_ceil(uint64_t{2} * capacity);
+  index = std::make_unique<Bucket[]>(buckets);
+  index_mask = static_cast<uint32_t>(buckets - 1);
+  index_shift = 32 - std::countr_zero(buckets);
+}
+
+uint32_t LruCacheMod::Shard::Find(uint64_t key) const {
+  for (uint32_t b = Home(key);; b = (b + 1) & index_mask) {
+    const Bucket& bucket = index[b];
+    if (bucket.slot == kNil || bucket.key == key) return bucket.slot;
   }
-  if (lru.size() >= capacity) {
-    index.erase(lru.back().key);
-    lru.pop_back();
+}
+
+void LruCacheMod::Shard::Unlink(uint32_t slot) {
+  const Slot& s = slots[slot];
+  (s.prev == kNil ? head : slots[s.prev].next) = s.next;
+  (s.next == kNil ? tail : slots[s.next].prev) = s.prev;
+}
+
+void LruCacheMod::Shard::PushFront(uint32_t slot) {
+  slots[slot].prev = kNil;
+  slots[slot].next = head;
+  (head == kNil ? tail : slots[head].prev) = slot;
+  head = slot;
+}
+
+void LruCacheMod::Shard::Touch(uint32_t slot) {
+  if (slot == head) return;
+  Unlink(slot);
+  PushFront(slot);
+}
+
+void LruCacheMod::Shard::Erase(uint64_t key) {
+  uint32_t hole = Home(key);
+  while (index[hole].key != key) hole = (hole + 1) & index_mask;
+  // Backward shift: pull each later entry of the probe run into the
+  // hole unless its home lies cyclically in (hole, entry].
+  for (uint32_t b = (hole + 1) & index_mask; index[b].slot != kNil;
+       b = (b + 1) & index_mask) {
+    const uint32_t home = Home(index[b].key);
+    if (((b - home) & index_mask) >= ((b - hole) & index_mask)) {
+      index[hole] = index[b];
+      hole = b;
+    }
   }
-  lru.push_front(Page{key, std::make_unique<uint8_t[]>(kPageSize)});
-  index[key] = lru.begin();
-  return lru.front();
+  index[hole].slot = kNil;
+}
+
+uint32_t LruCacheMod::Shard::Insert(uint64_t key) {
+  uint32_t slot;
+  if (used < capacity) {
+    slot = used++;
+  } else {
+    slot = tail;
+    Unlink(slot);
+    Erase(slots[slot].key);
+  }
+  slots[slot].key = key;
+  PushFront(slot);
+  uint32_t b = Home(key);
+  while (index[b].slot != kNil) b = (b + 1) & index_mask;
+  index[b] = Bucket{key, slot};
+  return slot;
 }
 
 void LruCacheMod::Absorb(const ipc::Request& req) {
@@ -82,8 +151,16 @@ void LruCacheMod::Absorb(const ipc::Request& req) {
     const uint64_t page_off = abs % kPageSize;
     const uint64_t chunk =
         std::min<uint64_t>(kPageSize - page_off, req.length - pos);
-    Page& page = ShardFor(key).TouchOrCreate(key);
-    std::memcpy(page.data.get() + page_off, req.data + pos, chunk);
+    Shard& shard = ShardFor(key);
+    uint32_t slot = shard.Find(key);
+    if (slot != kNil) {
+      shard.Touch(slot);
+    } else if (chunk == kPageSize) {
+      slot = shard.Insert(key);
+    }
+    if (slot != kNil) {
+      std::memcpy(shard.page(slot) + page_off, req.data + pos, chunk);
+    }
     pos += chunk;
   }
 }
@@ -111,7 +188,7 @@ Status LruCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
           while (pos < req.length) {
             const uint64_t abs = req.offset + pos;
             const uint64_t key = abs / kPageSize;
-            if (!ShardFor(key).index.contains(key)) {
+            if (ShardFor(key).Find(key) == kNil) {
               all_hit = false;
               break;
             }
@@ -127,10 +204,9 @@ Status LruCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
             const uint64_t chunk =
                 std::min<uint64_t>(kPageSize - page_off, req.length - pos);
             Shard& shard = ShardFor(key);
-            const auto it = shard.index.find(key);
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            std::memcpy(req.data + pos, it->second->data.get() + page_off,
-                        chunk);
+            const uint32_t slot = shard.Find(key);
+            shard.Touch(slot);
+            std::memcpy(req.data + pos, shard.page(slot) + page_off, chunk);
             pos += chunk;
           }
         }
@@ -166,24 +242,26 @@ Status LruCacheMod::StateUpdate(core::LabMod& old) {
   if (prev == nullptr) {
     return Status::InvalidArgument("StateUpdate from incompatible mod");
   }
-  // Pages move least recent first, so each keeps its recency within
-  // the shard it lands in: the same shard, in the same order, when the
-  // shard count is unchanged. Locks nest old shard, then new shard.
+  // Pages are copied least recent first, so each keeps its recency
+  // within the shard it lands in: the same shard, in the same order,
+  // when the shard count is unchanged. Locks nest old shard, then new
+  // shard. The old instance keeps its pages, so an upgrade that is
+  // abandoned after this leaves it as it was.
   for (size_t i = 0; i < prev->shards_.size(); ++i) {
-    Shard& from = prev->shards_[i];
+    const Shard& from = prev->shards_[i];
     std::lock_guard<std::mutex> from_lock(from.mu);
-    while (!from.lru.empty()) {
-      const auto page = std::prev(from.lru.end());
-      Shard& to = ShardFor(page->key);
+    for (uint32_t s = from.tail; s != kNil; s = from.slots[s].prev) {
+      const uint64_t key = from.slots[s].key;
+      Shard& to = ShardFor(key);
       std::lock_guard<std::mutex> to_lock(to.mu);
-      to.lru.splice(to.lru.begin(), from.lru, page);
-      to.index[page->key] = page;
-      if (to.lru.size() > to.capacity) {
-        to.index.erase(to.lru.back().key);
-        to.lru.pop_back();
+      uint32_t slot = to.Find(key);
+      if (slot == kNil) {
+        slot = to.Insert(key);
+      } else {
+        to.Touch(slot);
       }
+      std::memcpy(to.page(slot), from.page(s), kPageSize);
     }
-    from.index.clear();
     Shard& counts = shards_[i % shards_.size()];
     std::lock_guard<std::mutex> counts_lock(counts.mu);
     counts.hits += from.hits;
@@ -217,7 +295,7 @@ size_t LruCacheMod::resident_pages() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.lru.size();
+    total += shard.used;
   }
   return total;
 }

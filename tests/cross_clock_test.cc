@@ -12,6 +12,9 @@
 // req.worker from its queue assignment, while the inline path stamps
 // the client's slot, so the two sides append to different log slots
 // and allocate from different block pools.
+//
+// The LabFS stream also runs inline with and without an LRU cache under
+// LabFS: a cache, like a clock, must change no answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,19 +40,27 @@ constexpr size_t kOps = 150;
 constexpr uint64_t kSeeds[] = {1, 2, 3};
 constexpr const char* kModes[] = {"sync", "async"};
 
-std::string FsYaml(const std::string& mode) {
-  return "mount: fs::/cc\n"
-         "rules:\n"
-         "  exec_mode: " + mode +
-         "\n"
-         "dag:\n"
-         "  - mod: labfs\n"
-         "    uuid: labfs_cc\n"
-         "    params:\n"
-         "      log_records_per_worker: 1024\n"
-         "    outputs: [lru_cc]\n"
-         "  - mod: lru_cache\n"
-         "    uuid: lru_cc\n"
+// LabFS over the kernel driver, through an lru_cache of `cache_pages`
+// pages, or straight when it is 0.
+std::string FsYaml(const std::string& mode, uint64_t cache_pages = 4096) {
+  std::string yaml = "mount: fs::/cc\n"
+                     "rules:\n"
+                     "  exec_mode: " + mode +
+                     "\n"
+                     "dag:\n"
+                     "  - mod: labfs\n"
+                     "    uuid: labfs_cc\n"
+                     "    params:\n"
+                     "      log_records_per_worker: 1024\n";
+  if (cache_pages != 0) {
+    yaml += "    outputs: [lru_cc]\n"
+            "  - mod: lru_cache\n"
+            "    uuid: lru_cc\n"
+            "    params:\n"
+            "      capacity_pages: " + std::to_string(cache_pages) +
+            "\n";
+  }
+  return yaml +
          "    outputs: [drv_cc]\n"
          "  - mod: kernel_driver\n"
          "    uuid: drv_cc\n";
@@ -290,33 +301,30 @@ State KvsState(Side& side) {
 
 // Runs `ops` through both sides and compares every answer, then the
 // logical state before and after StateRepair.
-template <typename StateFn>
-void ExpectSameBehaviour(const std::string& inline_yaml,
-                         const std::string& des_yaml,
+template <typename SideA, typename SideB, typename StateFn>
+void ExpectSameBehaviour(SideA& a_side, SideB& b_side,
                          const std::vector<Op>& ops, StateFn state_of) {
-  InlineSide inline_side(inline_yaml);
-  DesSide des_side(des_yaml);
   size_t ok_ops = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
-    const Answer a = Apply(inline_side, ops[i]);
-    const Answer b = Apply(des_side, ops[i]);
+    const Answer a = Apply(a_side, ops[i]);
+    const Answer b = Apply(b_side, ops[i]);
     ASSERT_EQ(a, b) << "op " << i << " (" << ipc::OpCodeName(ops[i].code)
-                    << " " << ops[i].path << "): inline "
-                    << StatusCodeName(a.code) << " " << a.result << ", DES "
+                    << " " << ops[i].path << "): "
+                    << StatusCodeName(a.code) << " " << a.result << " against "
                     << StatusCodeName(b.code) << " " << b.result;
     if (a.code == StatusCode::kOk) ++ok_ops;
   }
   // A stream that fails everywhere would agree trivially.
   EXPECT_GT(ok_ops, ops.size() / 2);
 
-  const State before = state_of(inline_side);
+  const State before = state_of(a_side);
   EXPECT_FALSE(before.names.empty());
-  EXPECT_EQ(before, state_of(des_side));
+  EXPECT_EQ(before, state_of(b_side));
 
-  ASSERT_TRUE(inline_side.registry().RepairAll().ok());
-  ASSERT_TRUE(des_side.registry().RepairAll().ok());
-  const State after = state_of(inline_side);
-  EXPECT_EQ(after, state_of(des_side));
+  ASSERT_TRUE(a_side.registry().RepairAll().ok());
+  ASSERT_TRUE(b_side.registry().RepairAll().ok());
+  const State after = state_of(a_side);
+  EXPECT_EQ(after, state_of(b_side));
   EXPECT_EQ(after, before) << "replay changed the logical state";
 }
 
@@ -325,7 +333,9 @@ TEST(CrossClockTest, LabFsStreamAgreesAcrossClocks) {
     for (const uint64_t seed : kSeeds) {
       SCOPED_TRACE(std::string("DES ") + mode + " stack, seed " +
                    std::to_string(seed));
-      ExpectSameBehaviour(FsYaml("sync"), FsYaml(mode), FsStream(seed),
+      InlineSide inline_side(FsYaml("sync"));
+      DesSide des_side(FsYaml(mode));
+      ExpectSameBehaviour(inline_side, des_side, FsStream(seed),
                           [](auto& side) { return FsState(side); });
     }
   }
@@ -336,9 +346,25 @@ TEST(CrossClockTest, LabKvsStreamAgreesAcrossClocks) {
     for (const uint64_t seed : kSeeds) {
       SCOPED_TRACE(std::string("DES ") + mode + " stack, seed " +
                    std::to_string(seed));
-      ExpectSameBehaviour(KvsYaml("sync"), KvsYaml(mode), KvsStream(seed),
+      InlineSide inline_side(KvsYaml("sync"));
+      DesSide des_side(KvsYaml(mode));
+      ExpectSameBehaviour(inline_side, des_side, KvsStream(seed),
                           [](auto& side) { return KvsState(side); });
     }
+  }
+}
+
+// A cache changes no answer: the same stream, with its sub-page reads
+// and writes, truncates and unlinks, through labfs -> kernel_driver and
+// through labfs -> lru_cache -> kernel_driver, with a cache of 4 pages
+// so that pages are evicted and refilled all the time.
+TEST(CacheDifferentialTest, LabFsStreamAgreesWithAndWithoutCache) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    InlineSide bare(FsYaml("sync", /*cache_pages=*/0));
+    InlineSide cached(FsYaml("sync", /*cache_pages=*/4));
+    ExpectSameBehaviour(bare, cached, FsStream(seed),
+                        [](auto& side) { return FsState(side); });
   }
 }
 

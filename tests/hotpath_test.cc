@@ -3,8 +3,9 @@
 // rebalance-vs-drain races.
 //
 // This binary installs a counting global allocator so the
-// steady-state test can assert the worker datapath performs zero heap
-// allocations per request once warm.
+// steady-state test can assert that the worker datapath, and the 4 KiB
+// file data path of the Lab-All stack, perform zero heap allocations
+// per request once warm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +16,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/client.h"
 #include "core/runtime.h"
 #include "faultinject/faultinject.h"
 #include "ipc/queue_pair.h"
 #include "labmods/dummy.h"
+#include "labmods/genericfs.h"
 #include "simdev/registry.h"
 
 // ---------------------------------------------------------------
@@ -105,6 +108,38 @@ StackSpec DummyStack(const std::string& mount, const std::string& uuid) {
   return *spec;
 }
 
+constexpr uint64_t kCachePages = 64;
+
+// The Lab-All stack (paper Fig. 6) with a small cache.
+StackSpec LabAllStack() {
+  auto spec = StackSpec::Parse(
+      "mount: fs::/za\n"
+      "rules:\n"
+      "  exec_mode: async\n"
+      "dag:\n"
+      "  - mod: permissions\n"
+      "    uuid: perm_za\n"
+      "    outputs: [fs_za]\n"
+      "  - mod: labfs\n"
+      "    uuid: fs_za\n"
+      "    params:\n"
+      "      log_records_per_worker: 1024\n"
+      "    outputs: [lru_za]\n"
+      "  - mod: lru_cache\n"
+      "    uuid: lru_za\n"
+      "    params:\n"
+      "      capacity_pages: " + std::to_string(kCachePages) +
+      "\n"
+      "    outputs: [sched_za]\n"
+      "  - mod: noop_sched\n"
+      "    uuid: sched_za\n"
+      "    outputs: [drv_za]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: drv_za\n");
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return *spec;
+}
+
 class HotpathTest : public ::testing::Test {
  protected:
   HotpathTest() : devices_(nullptr) {
@@ -170,6 +205,57 @@ TEST_F(HotpathTest, SteadyStateExecutionAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << "steady-state datapath allocated " << allocs
                         << " times over " << kSteadyRequests << " requests";
   ASSERT_TRUE(runtime.Stop().ok());
+
+  // The Lab-All file data path: 4 KiB pread/pwrite through GenericFs,
+  // the Client, a worker, permissions, labfs, lru_cache, noop_sched and
+  // kernel_driver. The file is four times the cache, so reads miss and
+  // every insert evicts; its device pages are all written before the
+  // count starts.
+  Runtime::Options fs_options;
+  fs_options.max_workers = 2;
+  fs_options.admin_poll = 500ms;
+  Runtime fs_runtime(std::move(fs_options), devices_);
+  auto fs_stack = fs_runtime.MountStack(LabAllStack(), ipc::Credentials{1, 0, 0});
+  ASSERT_TRUE(fs_stack.ok()) << fs_stack.status().ToString();
+  // Connected before Start, so Start's rebalance assigns the client's
+  // queue and the admin's first periodic one comes after the count.
+  Client client(fs_runtime, ipc::Credentials{78, 1000, 1000});
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(fs_runtime.Start().ok());
+  labmods::GenericFs fs(client);
+  auto fd = fs.Create("fs::/za/f");
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  constexpr uint64_t kPage = 4096;
+  constexpr uint64_t kFilePages = 4 * kCachePages;
+  std::vector<uint8_t> page(kPage, 0x5A);
+  for (uint64_t p = 0; p < kFilePages; ++p) {
+    ASSERT_TRUE(fs.Write(*fd, page, p * kPage).ok());
+  }
+  // 70% reads at uniformly drawn pages, drawn before the count.
+  constexpr int kFsOps = 4000;
+  std::vector<uint64_t> pages(2 * kFsOps);
+  std::vector<bool> reads(2 * kFsOps);
+  Rng rng(7);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    pages[i] = rng.Uniform(kFilePages);
+    reads[i] = rng.Bernoulli(0.7);
+  }
+  bool ok = true;
+  const auto run_ops = [&](size_t first, size_t count) {
+    for (size_t i = first; i < first + count; ++i) {
+      const auto done = reads[i] ? fs.Read(*fd, page, pages[i] * kPage)
+                                 : fs.Write(*fd, page, pages[i] * kPage);
+      ok = ok && done.ok() && *done == kPage;
+    }
+  };
+  run_ops(0, kFsOps);  // warm-up
+  const uint64_t fs_allocs_before = HeapAllocs();
+  run_ops(kFsOps, kFsOps);
+  const uint64_t fs_allocs = HeapAllocs() - fs_allocs_before;
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(fs_allocs, 0u) << "the Lab-All data path allocated " << fs_allocs
+                           << " times over " << kFsOps << " ops";
+  ASSERT_TRUE(fs_runtime.Stop().ok());
 }
 
 TEST_F(HotpathTest, QueuePairBatchDrainPreservesFifo) {

@@ -237,6 +237,42 @@ TEST_F(LabFsTest, ExtendingTruncateReadsZeros) {
   for (size_t i = 100; i < out.size(); ++i) ASSERT_EQ(out[i], 0) << i;
 }
 
+// A block freed by one file and mapped again by another still holds
+// the first file's bytes on the device. A write that covers only part
+// of such a block must not expose the rest: it reads as zeros.
+TEST_F(LabFsTest, PartialWriteIntoReusedBlockReadsZeros) {
+  auto old_fd = fs_.Create("fs::/t/old");
+  ASSERT_TRUE(old_fd.ok());
+  ASSERT_TRUE(fs_.Write(*old_fd, std::vector<uint8_t>(2 * 4096, 0x5A), 0).ok());
+  ASSERT_TRUE(fs_.Close(*old_fd).ok());
+  ASSERT_TRUE(fs_.Unlink("fs::/t/old").ok());
+
+  // Head: 10 bytes at offset 100 of a fresh block.
+  auto fd = fs_.Create("fs::/t/new");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs_.Write(*fd, Pattern(10), 100).ok());
+  std::vector<uint8_t> out(110, 0xFF);
+  auto read = fs_.Read(*fd, out, 0);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(*read, out.size());
+  for (size_t i = 0; i < 100; ++i) ASSERT_EQ(out[i], 0) << i;
+  EXPECT_TRUE(std::equal(out.begin() + 100, out.end(), Pattern(10).begin()));
+
+  // Tail: a write that ends inside a fresh block, then one byte at
+  // that block's end to bring the gap inside the file size.
+  auto tail_fd = fs_.Create("fs::/t/tail");
+  ASSERT_TRUE(tail_fd.ok());
+  ASSERT_TRUE(fs_.Write(*tail_fd, Pattern(5000), 0).ok());
+  ASSERT_TRUE(fs_.Write(*tail_fd, Pattern(1), 2 * 4096 - 1).ok());
+  std::vector<uint8_t> whole(2 * 4096, 0xFF);
+  read = fs_.Read(*tail_fd, whole, 0);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(*read, whole.size());
+  EXPECT_TRUE(std::equal(whole.begin(), whole.begin() + 5000,
+                         Pattern(5000).begin()));
+  for (size_t i = 5000; i < whole.size() - 1; ++i) ASSERT_EQ(whole[i], 0) << i;
+}
+
 TEST_F(LabFsTest, FsyncSucceeds) {
   auto fd = fs_.Create("fs::/t/sync_me");
   ASSERT_TRUE(fd.ok());

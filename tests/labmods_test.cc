@@ -12,7 +12,9 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "core/client.h"
 #include "core/module_registry.h"
+#include "core/runtime.h"
 #include "core/stack.h"
 #include "core/stack_exec.h"
 #include "labmods/adaptive_cache.h"
@@ -21,6 +23,7 @@
 #include "labmods/consistency.h"
 #include "labmods/drivers.h"
 #include "labmods/fslog.h"
+#include "labmods/genericfs.h"
 #include "labmods/lru_cache.h"
 #include "labmods/lz77.h"
 #include "labmods/permissions.h"
@@ -375,6 +378,145 @@ TEST_F(ModStackTest, LruCacheEvicts) {
   EXPECT_EQ(dynamic_cast<LruCacheMod*>(*mod)->resident_pages(), 4u);
 }
 
+// A chunk smaller than a page must not make the page resident: the
+// cache never saw the rest of its bytes. A sub-page write to a page
+// the cache does not hold goes to the device only; a later full-page
+// read misses and returns the device's bytes.
+TEST_F(ModStackTest, LruCacheSubPageWriteKeepsDeviceBytes) {
+  core::Stack* stack = MountYaml(
+      "mount: blk::/cache_sw\n"
+      "dag:\n"
+      "  - mod: lru_cache\n"
+      "    uuid: lru_sw\n"
+      "    outputs: [drv_sw]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: drv_sw\n");
+  ASSERT_TRUE(device_->WriteNow(0, std::vector<uint8_t>(4096, 0x77)).ok());
+  std::vector<uint8_t> small(10, 0x11);
+  ipc::Request req;
+  req.op = ipc::OpCode::kBlkWrite;
+  req.offset = 100;
+  req.length = small.size();
+  req.data = small.data();
+  core::ExecTrace trace;
+  ASSERT_TRUE(Run(stack, req, &trace).ok());
+
+  std::vector<uint8_t> want(4096, 0x77);
+  std::fill(want.begin() + 100, want.begin() + 110, 0x11);
+  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a hit
+    std::vector<uint8_t> out(4096, 0);
+    req.op = ipc::OpCode::kBlkRead;
+    req.offset = 0;
+    req.length = out.size();
+    req.data = out.data();
+    core::ExecTrace read_trace;
+    ASSERT_TRUE(Run(stack, req, &read_trace).ok());
+    EXPECT_EQ(out, want) << "pass " << pass;
+  }
+  auto mod = registry_.Find("lru_sw");
+  ASSERT_TRUE(mod.ok());
+  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
+  EXPECT_EQ(lru->misses(), 1u);
+  EXPECT_EQ(lru->hits(), 1u);
+
+  // Once resident, a sub-page write updates the page in place.
+  req.op = ipc::OpCode::kBlkWrite;
+  req.offset = 4000;
+  req.length = small.size();
+  req.data = small.data();
+  core::ExecTrace trace2;
+  ASSERT_TRUE(Run(stack, req, &trace2).ok());
+  std::fill(want.begin() + 4000, want.begin() + 4010, 0x11);
+  std::vector<uint8_t> out(4096, 0);
+  req.op = ipc::OpCode::kBlkRead;
+  req.offset = 0;
+  req.length = out.size();
+  req.data = out.data();
+  core::ExecTrace trace3;
+  ASSERT_TRUE(Run(stack, req, &trace3).ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(lru->hits(), 2u);
+}
+
+// A sub-page read miss fills nothing: the device returned only the
+// bytes asked for.
+TEST_F(ModStackTest, LruCacheSubPageReadMissKeepsDeviceBytes) {
+  core::Stack* stack = MountYaml(
+      "mount: blk::/cache_sr\n"
+      "dag:\n"
+      "  - mod: lru_cache\n"
+      "    uuid: lru_sr\n"
+      "    outputs: [drv_sr]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: drv_sr\n");
+  const std::vector<uint8_t> data(4096, 0x77);
+  ASSERT_TRUE(device_->WriteNow(0, data).ok());
+  std::vector<uint8_t> small(100, 0);
+  ipc::Request req;
+  req.op = ipc::OpCode::kBlkRead;
+  req.offset = 10;
+  req.length = small.size();
+  req.data = small.data();
+  core::ExecTrace trace;
+  ASSERT_TRUE(Run(stack, req, &trace).ok());
+  EXPECT_EQ(small, std::vector<uint8_t>(100, 0x77));
+
+  std::vector<uint8_t> out(4096, 0);
+  req.offset = 0;
+  req.length = out.size();
+  req.data = out.data();
+  core::ExecTrace trace2;
+  ASSERT_TRUE(Run(stack, req, &trace2).ok());
+  EXPECT_EQ(out, data);
+}
+
+// End to end through GenericFs: a page evicted from a one-page cache,
+// then written in part, still reads back its other bytes.
+TEST(LruCacheFsTest, SubPageWriteAfterEvictionKeepsFileBytes) {
+  simdev::DeviceRegistry devices(nullptr);
+  ASSERT_TRUE(
+      devices.Create(simdev::DeviceParams::NvmeP3700(64 << 20)).ok());
+  core::Runtime::Options options;
+  options.max_workers = 1;
+  core::Runtime runtime(std::move(options), devices);
+  auto spec = core::StackSpec::Parse(
+      "mount: fs::/lc\n"
+      "rules:\n"
+      "  exec_mode: sync\n"
+      "dag:\n"
+      "  - mod: labfs\n"
+      "    uuid: labfs_lc\n"
+      "    params:\n"
+      "      log_records_per_worker: 1024\n"
+      "    outputs: [lru_lc]\n"
+      "  - mod: lru_cache\n"
+      "    uuid: lru_lc\n"
+      "    params:\n"
+      "      capacity_pages: 1\n"
+      "    outputs: [drv_lc]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: drv_lc\n");
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(runtime.MountStack(*spec, ipc::Credentials{1, 0, 0}).ok());
+  core::Client client(runtime, ipc::Credentials{100, 1000, 1000});
+  ASSERT_TRUE(client.Connect().ok());
+  GenericFs fs(client);
+
+  auto f = fs.Create("fs::/lc/f");
+  auto g = fs.Create("fs::/lc/g");
+  ASSERT_TRUE(f.ok() && g.ok());
+  ASSERT_TRUE(fs.Write(*f, std::vector<uint8_t>(4096, 'A'), 0).ok());
+  ASSERT_TRUE(fs.Write(*g, std::vector<uint8_t>(4096, 'B'), 0).ok());
+  ASSERT_TRUE(fs.Write(*f, std::vector<uint8_t>(10, 'C'), 100).ok());
+  std::vector<uint8_t> out(4096, 0);
+  auto read = fs.Read(*f, out, 0);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(*read, out.size());
+  std::vector<uint8_t> want(4096, 'A');
+  std::fill(want.begin() + 100, want.begin() + 110, 'C');
+  EXPECT_EQ(out, want);
+}
+
 // The LRU's rule, modelled independently: min(16, capacity) shards,
 // HashBucket of the page index picks one, the capacity is split evenly
 // with the remainder on the first shards, and each shard evicts its
@@ -595,6 +737,77 @@ TEST_F(CacheCounterTest, LruCountsEveryHitOnDisjointPages) {
   EXPECT_EQ(lru->hits(), 2 * kReadsPerThread);
   EXPECT_EQ(lru->misses(), 0u);
   EXPECT_EQ(lru->resident_pages(), 2 * kPages);
+}
+
+// Two threads on one LRU over overlapping pages: writes and reads of
+// one to three pages in a cache of two pages per shard, so requests hit,
+// miss, evict and lock several shards at once while the other thread
+// does the same (the ThreadSanitizer job runs this). Every page is only
+// ever written with one byte pattern, so whatever the interleaving, a
+// read must return that pattern, and every read counts once.
+TEST_F(CacheCounterTest, LruTwoThreadsHitEvictAndSpanShards) {
+  constexpr uint64_t kPage = 4096;
+  constexpr uint64_t kUniverse = 48;
+  constexpr int kOpsPerThread = 3000;
+  core::Stack* stack = MountYaml(
+      "mount: blk::/lru_2t\n"
+      "dag:\n"
+      "  - mod: lru_cache\n"
+      "    uuid: cache_lru_2t\n"
+      "    params:\n"
+      "      capacity_pages: 32\n"
+      "    outputs: [drv_lru_2t]\n"
+      "  - mod: kernel_driver\n"
+      "    uuid: drv_lru_2t\n");
+  auto mod = registry_.Find("cache_lru_2t");
+  ASSERT_TRUE(mod.ok());
+  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
+  ASSERT_NE(lru, nullptr);
+  const auto fill = [](uint64_t page) {
+    return static_cast<uint8_t>(page * 37 + 1);
+  };
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> wrong{0};
+  const auto worker = [&](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<uint8_t> buf(3 * kPage);
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      const uint64_t span = rng.Range(1, 3);
+      const uint64_t first = rng.Uniform(kUniverse - span + 1);
+      ipc::Request req;
+      req.offset = first * kPage;
+      req.length = span * kPage;
+      req.data = buf.data();
+      core::ExecTrace trace;
+      if (rng.Bernoulli(0.4)) {
+        for (uint64_t p = 0; p < span; ++p) {
+          std::memset(buf.data() + p * kPage, fill(first + p), kPage);
+        }
+        req.op = ipc::OpCode::kBlkWrite;
+        EXPECT_TRUE(Run(stack, req, &trace).ok());
+        continue;
+      }
+      std::fill(buf.begin(), buf.end(), 0);
+      req.op = ipc::OpCode::kBlkRead;
+      EXPECT_TRUE(Run(stack, req, &trace).ok());
+      reads.fetch_add(1);
+      for (uint64_t p = 0; p < span; ++p) {
+        const uint8_t* page = buf.data() + p * kPage;
+        // Zeros: the page has not been written yet.
+        if (page[0] != 0 && page[0] != fill(first + p)) wrong.fetch_add(1);
+        if (std::memcmp(page, page + 1, kPage - 1) != 0) wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(worker, 1);
+  std::thread b(worker, 2);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(lru->hits() + lru->misses(), reads.load());
+  EXPECT_GT(lru->hits(), 0u);
+  EXPECT_GT(lru->misses(), 0u);
+  EXPECT_EQ(lru->resident_pages(), 32u);
 }
 
 TEST_F(CacheCounterTest, AdaptiveCountsEveryConcurrentHit) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "common/rng.h"
 #include "simdev/registry.h"
@@ -67,6 +69,100 @@ TEST(SparseStoreTest, OverwritePartialPage) {
   EXPECT_EQ(out[50], 0x22u);
   EXPECT_EQ(out[149], 0x22u);
   EXPECT_EQ(out[150], 0x11u);
+}
+
+TEST(SparseStoreTest, WriteSpanningChunkEdge) {
+  constexpr uint64_t kPage = SparseStore::kPageSize;
+  constexpr uint64_t kEdge = SparseStore::kChunkPages * kPage;
+  SparseStore store(4 * kEdge);
+  std::vector<uint8_t> data(3 * kPage);
+  std::iota(data.begin(), data.end(), 0);
+  // From the middle of the last page of chunk 0 into chunk 1.
+  ASSERT_TRUE(store.Write(kEdge - kPage - 100, data).ok());
+  EXPECT_EQ(store.resident_pages(), 4u);
+  std::vector<uint8_t> out(data.size());
+  ASSERT_TRUE(store.Read(kEdge - kPage - 100, out).ok());
+  EXPECT_EQ(out, data);
+  // The bytes around the write, on both sides of it, are still zeros.
+  std::vector<uint8_t> around(kPage, 0xFF);
+  ASSERT_TRUE(store.Read(kEdge - 2 * kPage, around).ok());
+  for (size_t i = 0; i < kPage - 100; ++i) ASSERT_EQ(around[i], 0) << i;
+  ASSERT_TRUE(store.Read(kEdge + 2 * kPage - 100, around).ok());
+  for (size_t i = 100; i < kPage; ++i) ASSERT_EQ(around[i], 0) << i;
+}
+
+TEST(SparseStoreTest, LastPageOfDevice) {
+  constexpr uint64_t kPage = SparseStore::kPageSize;
+  // A capacity that ends inside a page, past the first chunk.
+  const uint64_t capacity = SparseStore::kChunkPages * kPage + 10 * kPage + 300;
+  SparseStore store(capacity);
+  std::vector<uint8_t> data(300, 0xC3);
+  ASSERT_TRUE(store.Write(capacity - data.size(), data).ok());
+  EXPECT_FALSE(store.Write(capacity - data.size() + 1, data).ok());
+  EXPECT_FALSE(store.Write(~uint64_t{0} - 10, data).ok());
+  std::vector<uint8_t> out(kPage + 300, 0xFF);
+  ASSERT_TRUE(store.Read(capacity - out.size(), out).ok());
+  for (size_t i = 0; i < kPage; ++i) ASSERT_EQ(out[i], 0) << i;
+  for (size_t i = kPage; i < out.size(); ++i) ASSERT_EQ(out[i], 0xC3) << i;
+  EXPECT_FALSE(store.Read(capacity - 10, std::span<uint8_t>(out).first(11)).ok());
+  EXPECT_EQ(store.resident_pages(), 1u);
+}
+
+TEST(SparseStoreTest, NeverWrittenRangesReadZerosAndResidentPagesCount) {
+  constexpr uint64_t kPage = SparseStore::kPageSize;
+  SparseStore store(8ull << 30);  // 4096 chunk entries
+  std::vector<uint8_t> page(kPage, 0x42);
+  // Pages in three chunks, one of them twice.
+  for (const uint64_t p : {0ull, 1ull, 511ull, 512ull, 2000000ull, 1ull}) {
+    ASSERT_TRUE(store.Write(p * kPage, page).ok());
+  }
+  EXPECT_EQ(store.resident_pages(), 5u);
+  std::vector<uint8_t> out(3 * kPage, 0xFF);
+  // Page 2..4 of a written chunk, and three pages of a chunk never
+  // written.
+  for (const uint64_t p : {2ull, 1000ull, 1000000ull}) {
+    ASSERT_TRUE(store.Read(p * kPage, out).ok());
+    for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 0) << p << " " << i;
+  }
+  EXPECT_EQ(store.resident_pages(), 5u);  // reads materialize nothing
+  ASSERT_TRUE(store.Read(2000000 * kPage, std::span<uint8_t>(out).first(kPage)).ok());
+  EXPECT_EQ(out[0], 0x42);
+}
+
+// Two threads race the first write into one radix chunk, on pages of
+// different 16-page runs (so usually under different shard locks): the
+// chunk is published once and neither write is lost (the
+// ThreadSanitizer job runs this).
+TEST(StoreConcurrencyTest, TwoThreadsRaceFirstWriteIntoOneRadixChunk) {
+  constexpr uint64_t kPage = SparseStore::kPageSize;
+  for (int round = 0; round < 100; ++round) {
+    SparseStore store(4 * SparseStore::kChunkPages * kPage);
+    const uint64_t chunk = round % 4;
+    std::atomic<int> ready{0};
+    const auto writer = [&](uint64_t run) {
+      std::vector<uint8_t> data(kPage, static_cast<uint8_t>(run + 1));
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      for (uint64_t p = 0; p < 4; ++p) {
+        const uint64_t page = chunk * SparseStore::kChunkPages + run * 16 + p;
+        EXPECT_TRUE(store.Write(page * kPage, data).ok());
+      }
+    };
+    std::thread a(writer, 3);
+    std::thread b(writer, 20);
+    a.join();
+    b.join();
+    ASSERT_EQ(store.resident_pages(), 8u) << "round " << round;
+    for (const uint64_t run : {3ull, 20ull}) {
+      std::vector<uint8_t> out(4 * kPage);
+      ASSERT_TRUE(store
+                      .Read((chunk * SparseStore::kChunkPages + run * 16) * kPage,
+                            out)
+                      .ok());
+      for (const uint8_t byte : out) ASSERT_EQ(byte, run + 1) << "round " << round;
+    }
+  }
 }
 
 // ---------- TimingModel ----------
