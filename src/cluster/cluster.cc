@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
-#include <set>
+#include <algorithm>
+#include <array>
 
 namespace labstor::cluster {
 
@@ -13,6 +14,12 @@ Cluster::Cluster(sim::Environment& env, ClusterConfig config,
       rebalancer_(env, net_) {
   if (config_.initial_nodes == 0) {
     init_status_ = Status::InvalidArgument("cluster needs at least one node");
+    return;
+  }
+  if (config_.max_forward_hops > kMaxForwardHops) {
+    init_status_ = Status::InvalidArgument(
+        "max_forward_hops " + std::to_string(config_.max_forward_hops) +
+        " exceeds " + std::to_string(kMaxForwardHops));
     return;
   }
   for (uint32_t i = 0; i < config_.initial_nodes; ++i) {
@@ -126,7 +133,8 @@ sim::Task<Status> Cluster::Route(uint32_t gateway, uint32_t tenant,
   }
   const uint32_t qid = kClientQidBase + tenant;
   uint32_t hops = 0;
-  std::set<uint32_t> visited = {gateway};
+  // visited[0..hops]: the gateway, then the node each hop reached.
+  std::array<uint32_t, kMaxForwardHops + 1> visited{gateway};
   for (;;) {
     if (!current->up()) {
       co_return Status::Unavailable("node " + std::to_string(current->id()) +
@@ -142,7 +150,9 @@ sim::Task<Status> Cluster::Route(uint32_t gateway, uint32_t tenant,
     }
     if (owner == current->id()) break;  // this node serves the label
     // Forward toward the owner this node believes in.
-    if (hops >= config_.max_forward_hops || visited.count(owner) != 0) {
+    if (hops >= config_.max_forward_hops ||
+        std::find(visited.begin(), visited.begin() + hops + 1, owner) !=
+            visited.begin() + hops + 1) {
       ++forward_loops_;
       co_return Status::Internal("forwarding loop for label " + label);
     }
@@ -157,8 +167,7 @@ sim::Task<Status> Cluster::Route(uint32_t gateway, uint32_t tenant,
         current->id(), owner, op == ipc::OpCode::kPut ? size : 0));
     // Gossip-on-message: arriving traffic refreshes the receiver.
     next->AdoptMap(publisher_.Load());
-    visited.insert(owner);
-    ++hops;
+    visited[++hops] = owner;
     ++forwarded_;
     if (forwarded_counter_ != nullptr) forwarded_counter_->Inc(gateway);
     current = next;

@@ -45,7 +45,8 @@ struct ClusterConfig {
   uint64_t node_device_bytes = 32ull << 20;
   uint64_t log_records_per_worker = 8192;
   // A forwarded request gives up after this many hops (invariant: with
-  // monotone map adoption, two hops always suffice).
+  // monotone map adoption, two hops always suffice). At most
+  // Cluster::kMaxForwardHops.
   uint32_t max_forward_hops = 3;
   sim::NetworkCosts net_costs = sim::DefaultNetworkCosts();
   // How many plan/execute rounds Rebalance() runs before declaring the
@@ -84,6 +85,8 @@ struct Topology {
 class Cluster {
  public:
   static constexpr uint32_t kClientQidBase = 100;
+  // Capacity of the per-request visited list Route keeps in its frame.
+  static constexpr uint32_t kMaxForwardHops = 8;
 
   Cluster(sim::Environment& env, ClusterConfig config,
           telemetry::Telemetry* tel = nullptr);

@@ -196,7 +196,7 @@ sim::Task<Status> ClusterNode::Execute(uint32_t qid, ipc::OpCode op,
   req.op = op;
   req.client_pid = qid;
   req.length = size;
-  req.SetPath(KeyFor(label));
+  req.SetPath(kMount, label);
   const Status st = co_await Submit(qid, req, label, client_mutation);
   if (size_out != nullptr) *size_out = req.result_u64;
   co_return st;
@@ -212,7 +212,7 @@ sim::Task<Status> ClusterNode::PutBytes(uint32_t qid, const std::string& label,
   req.client_pid = qid;
   req.length = bytes.size();
   req.data = bytes.data();
-  req.SetPath(KeyFor(label));
+  req.SetPath(kMount, label);
   co_return co_await Submit(qid, req, label, qid != kInternalQid);
 }
 
@@ -249,7 +249,7 @@ sim::Task<Status> ClusterNode::ExecChain(uint32_t qid, uint32_t chain_id,
   req.chain_id = chain_id;
   req.length = recv.size();
   req.data = recv.data();
-  req.SetPath(KeyFor(label));
+  req.SetPath(kMount, label);
   const Status st =
       co_await Submit(qid, req, label, mutates && qid != kInternalQid);
   if (size_out != nullptr) *size_out = req.result_u64;

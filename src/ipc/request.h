@@ -8,6 +8,7 @@
 // signal; once it lands the slot belongs to the client again.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -125,6 +126,15 @@ struct Request {
     const size_t n = p.size() < kPathCapacity - 1 ? p.size() : kPathCapacity - 1;
     std::memcpy(path, p.data(), n);
     path[n] = '\0';
+  }
+  // SetPath(dir + "/" + name), without building the joined string.
+  void SetPath(std::string_view dir, std::string_view name) {
+    SetPath(dir);
+    size_t n = std::min(dir.size(), kPathCapacity - 1);
+    if (n < kPathCapacity - 1) path[n++] = '/';
+    const size_t m = std::min(name.size(), kPathCapacity - 1 - n);
+    std::memcpy(path + n, name.data(), m);
+    path[n + m] = '\0';
   }
   std::string_view GetPath() const { return {path}; }
 

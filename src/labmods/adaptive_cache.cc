@@ -69,6 +69,22 @@ AdaptiveCacheMod::Page& AdaptiveCacheMod::GetOrCreate(uint64_t key) {
   return page;
 }
 
+void AdaptiveCacheMod::Absorb(const ipc::Request& req) {
+  uint64_t pos = 0;
+  while (pos < req.length) {
+    const uint64_t abs = req.offset + pos;
+    const uint64_t key = abs / kPageSize;
+    const uint64_t page_off = abs % kPageSize;
+    const uint64_t chunk =
+        std::min<uint64_t>(kPageSize - page_off, req.length - pos);
+    if (chunk == kPageSize || pages_.contains(key)) {
+      Page& page = GetOrCreate(key);
+      std::memcpy(page.data.get() + page_off, req.data + pos, chunk);
+    }
+    pos += chunk;
+  }
+}
+
 Status AdaptiveCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
   const sim::SoftwareCosts& costs = *exec.ctx().costs;
   switch (req.op) {
@@ -77,17 +93,7 @@ Status AdaptiveCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
                                        costs.CopyCost(req.length));
       if (req.data != nullptr) {
         std::lock_guard<std::mutex> lock(mu_);
-        uint64_t pos = 0;
-        while (pos < req.length) {
-          const uint64_t abs = req.offset + pos;
-          const uint64_t key = abs / kPageSize;
-          const uint64_t page_off = abs % kPageSize;
-          const uint64_t chunk =
-              std::min<uint64_t>(kPageSize - page_off, req.length - pos);
-          Page& page = GetOrCreate(key);
-          std::memcpy(page.data.get() + page_off, req.data + pos, chunk);
-          pos += chunk;
-        }
+        Absorb(req);
       }
       return exec.Forward(req);
     }
@@ -131,17 +137,7 @@ Status AdaptiveCacheMod::Process(ipc::Request& req, core::StackExec& exec) {
       LABSTOR_RETURN_IF_ERROR(exec.Forward(req));
       if (req.data != nullptr) {
         lock.lock();
-        uint64_t pos = 0;
-        while (pos < req.length) {
-          const uint64_t abs = req.offset + pos;
-          const uint64_t key = abs / kPageSize;
-          const uint64_t page_off = abs % kPageSize;
-          const uint64_t chunk =
-              std::min<uint64_t>(kPageSize - page_off, req.length - pos);
-          Page& page = GetOrCreate(key);
-          std::memcpy(page.data.get() + page_off, req.data + pos, chunk);
-          pos += chunk;
-        }
+        Absorb(req);
       }
       return Status::Ok();
     }

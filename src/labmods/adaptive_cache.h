@@ -55,6 +55,11 @@ class AdaptiveCacheMod final : public core::LabMod {
   void Heat(Page& page);
   // Insert-or-get with coldest-page eviction. Caller holds mu_.
   Page& GetOrCreate(uint64_t key);
+  // Copies the request's bytes into the cache: a chunk that covers a
+  // whole page inserts it, a smaller one updates a resident page in
+  // place and otherwise bypasses the cache (a page is never created
+  // from part of its bytes). Caller holds mu_.
+  void Absorb(const ipc::Request& req);
 
   size_t capacity_pages_ = 4096;
   double decay_ = 0.999;  // per-tick multiplicative cooling

@@ -1,5 +1,7 @@
 #include "labmods/daos_obj.h"
 
+#include <charconv>
+
 namespace labstor::labmods {
 
 sim::Task<Status> StackKvEndpoint::Submit(uint32_t stream, ipc::OpCode op,
@@ -8,7 +10,7 @@ sim::Task<Status> StackKvEndpoint::Submit(uint32_t stream, ipc::OpCode op,
   req.op = op;
   req.client_pid = stream;
   req.length = size;
-  req.SetPath(mount_ + "/" + key);
+  req.SetPath(mount_, key);
   co_return co_await rt_.Execute(qid_base_ + stream, stack_, req);
 }
 
@@ -30,8 +32,17 @@ sim::Task<Status> StackKvEndpoint::Delete(uint32_t stream, std::string key) {
 
 std::string DaosObjStore::KeyFor(const ObjectId& oid, const std::string& dkey,
                                  const std::string& akey) const {
-  return root_ + "/o" + std::to_string(oid.hi) + "." + std::to_string(oid.lo) +
-         "/" + dkey + "/" + akey;
+  // "<hi>.<lo>": two 20-digit decimals at most, and the dot.
+  char ids[41];
+  char* end = std::to_chars(ids, ids + 20, oid.hi).ptr;
+  *end++ = '.';
+  end = std::to_chars(end, end + 20, oid.lo).ptr;
+  std::string key;
+  key.reserve(root_.size() + static_cast<size_t>(end - ids) + dkey.size() +
+              akey.size() + 4);
+  key.append(root_).append("/o").append(ids, end);
+  key.append("/").append(dkey).append("/").append(akey);
+  return key;
 }
 
 sim::Task<Status> DaosObjStore::Update(uint32_t stream, ObjectId oid,

@@ -41,7 +41,7 @@ Status LabKvsMod::ForwardValueIo(const Value& value, ipc::Request& req,
 }
 
 Status LabKvsMod::DoPut(ipc::Request& req, core::StackExec& exec) {
-  const std::string key(req.GetPath());
+  const std::string_view key = req.GetPath();
   if (key.empty()) return Status::InvalidArgument("put with empty key");
   const uint64_t blocks_needed =
       (req.length + kBlockSize - 1) / kBlockSize;
@@ -102,7 +102,7 @@ Status LabKvsMod::DoPut(ipc::Request& req, core::StackExec& exec) {
       return st;
     }
     if (created) {
-      shard.values.emplace(key, value);
+      shard.values.emplace(std::string(key), value);
     } else {
       release(it->second.extents);
       it->second = value;
@@ -114,14 +114,14 @@ Status LabKvsMod::DoPut(ipc::Request& req, core::StackExec& exec) {
 }
 
 Status LabKvsMod::DoGet(ipc::Request& req, core::StackExec& exec) {
-  const std::string key(req.GetPath());
+  const std::string_view key = req.GetPath();
   Value value;
   {
     Shard& shard = shards_[ShardFor(key)];
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.values.find(key);
     if (it == shard.values.end()) {
-      return Status::NotFound("no key '" + key + "'");
+      return Status::NotFound("no key '" + std::string(key) + "'");
     }
     value = it->second;
   }
@@ -138,12 +138,12 @@ Status LabKvsMod::DoGet(ipc::Request& req, core::StackExec& exec) {
 }
 
 Status LabKvsMod::DoDelete(ipc::Request& req, core::StackExec& exec) {
-  const std::string key(req.GetPath());
+  const std::string_view key = req.GetPath();
   Shard& shard = shards_[ShardFor(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.values.find(key);
   if (it == shard.values.end()) {
-    return Status::NotFound("no key '" + key + "'");
+    return Status::NotFound("no key '" + std::string(key) + "'");
   }
   // Write-ahead, as in DoPut: the value stays whole until its unlink
   // record is durable.
@@ -168,7 +168,7 @@ Status LabKvsMod::Process(ipc::Request& req, core::StackExec& exec) {
     case ipc::OpCode::kDelete:
       return DoDelete(req, exec);
     case ipc::OpCode::kExists: {
-      const std::string key(req.GetPath());
+      const std::string_view key = req.GetPath();
       const Shard& shard = shards_[ShardFor(key)];
       std::lock_guard<std::mutex> lock(shard.mu);
       req.result_u64 = shard.values.contains(key) ? 1 : 0;

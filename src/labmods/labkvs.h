@@ -10,9 +10,11 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,10 +62,20 @@ class LabKvsMod final : public core::LabMod {
     std::vector<BlockExtent> extents;
   };
 
+  // Finds keys by the request's string_view without copying them into
+  // a std::string. Hashes as std::hash<std::string> does, so buckets
+  // and iteration order are those of a plain string-keyed map.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>()(key);
+    }
+  };
+
   static constexpr size_t kShards = 16;
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Value> values;
+    std::unordered_map<std::string, Value, KeyHash, std::equal_to<>> values;
   };
   size_t ShardFor(std::string_view key) const {
     return std::hash<std::string_view>()(key) % kShards;

@@ -10,6 +10,9 @@ Environment::~Environment() {
   for (const auto h : roots_) {
     if (h) h.destroy();
   }
+  // The frames this run cached would otherwise stay with the thread
+  // until it exits.
+  internal::ReleaseCachedFrames();
 }
 
 void Environment::Spawn(Task<void> task) {

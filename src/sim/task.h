@@ -5,10 +5,17 @@
 // an Environment runs it concurrently with other processes. Final
 // suspension uses symmetric transfer to resume the awaiting coroutine
 // without growing the stack.
+//
+// Frames come from a per-thread cache (task.cc) instead of straight
+// from the heap: a DES makes and destroys a frame for almost every
+// call it awaits, and once warm the cache turns each of those
+// malloc/free pairs into a pop and a push. ~Environment hands the
+// thread's cached frames back to the heap.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -19,8 +26,21 @@ class Task;
 
 namespace internal {
 
+// A frame of `size` bytes from the calling thread's cache, or from the
+// heap when the cache holds none of its size class.
+void* AllocateFrame(std::size_t size);
+// Caches the frame on the calling thread, whichever thread allocated it.
+void FreeFrame(void* frame, std::size_t size) noexcept;
+// Returns every frame cached on the calling thread to the heap.
+void ReleaseCachedFrames() noexcept;
+
 template <typename T>
 struct TaskPromiseBase {
+  static void* operator new(std::size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FreeFrame(frame, size);
+  }
+
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 

@@ -162,6 +162,44 @@ TEST(ClusterTest, ForwardingReachesOwnerFromAnyGateway) {
   EXPECT_TRUE(cluster.CheckInvariants(/*strict=*/true).ok());
 }
 
+// A gateway holding a map newer than the published one, which names
+// another node owner of every label, forwards there; that node routes
+// by the published map straight back to the gateway. Route refuses the
+// revisit and counts it.
+TEST(ClusterTest, ForwardingBackToAVisitedNodeIsALoop) {
+  ClusterConfig config;
+  config.initial_nodes = 2;
+  auto rig = ClusterRig::Create(config);
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  Cluster& cluster = (*rig)->cluster();
+  std::string label;  // one the published map assigns to node 0
+  for (int i = 0; label.empty(); ++i) {
+    const std::string candidate = "t0/loop" + std::to_string(i);
+    if (cluster.map()->OwnerOfLabel(candidate) == 0) label = candidate;
+  }
+  cluster.node(0)->AdoptMap(ShardMap::Build(100, {1}));
+
+  const Status st = Drive(**rig, [&] { return cluster.Get(0, 0, label); });
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  EXPECT_EQ(cluster.forward_loops(), 1u);
+  EXPECT_EQ(cluster.forwarded(), 1u);
+}
+
+// Route keeps the nodes a request visited in a fixed array, so a hop
+// bound beyond it is refused at construction.
+TEST(ClusterTest, RejectsMoreForwardHopsThanRouteTracks) {
+  sim::Environment env;
+  ClusterConfig config;
+  config.initial_nodes = 1;
+  config.max_forward_hops = Cluster::kMaxForwardHops + 1;
+  const Cluster over(env, config);
+  EXPECT_EQ(over.init_status().code(), StatusCode::kInvalidArgument)
+      << over.init_status().ToString();
+  config.max_forward_hops = Cluster::kMaxForwardHops;
+  const Cluster at_bound(env, config);
+  EXPECT_TRUE(at_bound.init_status().ok()) << at_bound.init_status().ToString();
+}
+
 TEST(ClusterTest, JoinThenLeaveKeepsAllAckedWrites) {
   ClusterConfig config;
   config.initial_nodes = 3;

@@ -5,7 +5,8 @@
 // This binary installs a counting global allocator so the
 // steady-state test can assert that the worker datapath, and the 4 KiB
 // file data path of the Lab-All stack, perform zero heap allocations
-// per request once warm.
+// per request once warm, and the DES tests can bound what a coroutine
+// chain and a forwarded cluster Get allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "common/rng.h"
 #include "core/client.h"
 #include "core/runtime.h"
@@ -23,6 +25,8 @@
 #include "ipc/queue_pair.h"
 #include "labmods/dummy.h"
 #include "labmods/genericfs.h"
+#include "sim/environment.h"
+#include "sim/task.h"
 #include "simdev/registry.h"
 
 // ---------------------------------------------------------------
@@ -482,6 +486,79 @@ TEST_F(HotpathTest, RequestReuseClearsSubmitStamp) {
   EXPECT_EQ(req.result, StatusCode::kOk);
   EXPECT_EQ(req.result_u64, 0u);
   EXPECT_FALSE(req.IsDone());
+}
+
+// ---------------------------------------------------------------
+// DES: coroutine frames come from the per-thread frame cache.
+// ---------------------------------------------------------------
+
+sim::Task<uint64_t> Nested(sim::Environment& env, int depth) {
+  if (depth == 0) {
+    co_await env.Delay(1);
+    co_return 1;
+  }
+  co_return 1 + co_await Nested(env, depth - 1);
+}
+
+sim::Task<void> AwaitNested(sim::Environment& env, int depth, uint64_t* out) {
+  *out = co_await Nested(env, depth);
+}
+
+TEST(DesHotpathTest, NestedTaskAwaitsAllocateNothingOnceWarm) {
+#if !LABSTOR_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  sim::Environment env;
+  uint64_t out = 0;
+  const auto run = [&] {
+    env.Spawn(AwaitNested(env, 16, &out));
+    env.Run();
+  };
+  run();  // warms the frame cache, the event queue and the root list
+  const uint64_t before = HeapAllocs();
+  for (int i = 0; i < 100; ++i) run();
+  EXPECT_EQ(HeapAllocs() - before, 0u);
+  EXPECT_EQ(out, 17u);
+}
+
+sim::Task<void> AwaitStatus(sim::Task<Status> task, Status* out) {
+  *out = co_await std::move(task);
+}
+
+TEST(DesHotpathTest, WarmForwardedClusterGetAllocatesOnlyTheValueExtents) {
+#if !LABSTOR_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  sim::Environment env;
+  cluster::Cluster cluster(env, cluster::ClusterConfig{});
+  ASSERT_TRUE(cluster.init_status().ok()) << cluster.init_status().ToString();
+  const std::string label = "hotpath/forwarded-label";
+  const uint32_t owner = cluster.map()->OwnerOfLabel(label);
+  const uint32_t gateway = (owner + 1) % cluster::ClusterConfig{}.initial_nodes;
+  Status st;
+  env.Spawn(AwaitStatus(cluster.Put(gateway, 0, label, 4096), &st));
+  env.Run();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  uint64_t size = 0;
+  const auto get = [&] {
+    env.Spawn(AwaitStatus(cluster.Get(gateway, 0, label, &size), &st));
+    env.Run();
+  };
+  for (int i = 0; i < 4; ++i) get();  // warm
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  constexpr uint64_t kGets = 64;
+  const uint64_t forwarded = cluster.forwarded();
+  const uint64_t before = HeapAllocs();
+  for (uint64_t i = 0; i < kGets; ++i) get();
+  const uint64_t allocs = HeapAllocs() - before;
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(size, 4096u);
+  EXPECT_EQ(cluster.forwarded() - forwarded, kGets);
+  // One block per Get: LabKVS copies the value's extent vector under
+  // its shard lock.
+  EXPECT_LE(allocs, kGets) << static_cast<double>(allocs) / kGets
+                           << " heap allocations per Get";
 }
 
 }  // namespace

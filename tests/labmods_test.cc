@@ -8,7 +8,9 @@
 #include <cstring>
 #include <list>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -379,18 +381,45 @@ TEST_F(ModStackTest, LruCacheEvicts) {
 }
 
 // A chunk smaller than a page must not make the page resident: the
-// cache never saw the rest of its bytes. A sub-page write to a page
-// the cache does not hold goes to the device only; a later full-page
-// read misses and returns the device's bytes.
-TEST_F(ModStackTest, LruCacheSubPageWriteKeepsDeviceBytes) {
-  core::Stack* stack = MountYaml(
-      "mount: blk::/cache_sw\n"
-      "dag:\n"
-      "  - mod: lru_cache\n"
-      "    uuid: lru_sw\n"
-      "    outputs: [drv_sw]\n"
-      "  - mod: kernel_driver\n"
-      "    uuid: drv_sw\n");
+// cache never saw the rest of its bytes. Both page caches keep this
+// rule, so each case runs over both.
+class CacheSubPageTest : public ModStackTest,
+                         public ::testing::WithParamInterface<std::string> {
+ protected:
+  core::Stack* MountCache(const std::string& tag) {
+    return MountYaml("mount: blk::/cache_" + tag +
+                     "\n"
+                     "dag:\n"
+                     "  - mod: " + GetParam() +
+                     "\n"
+                     "    uuid: cache_" + tag +
+                     "\n"
+                     "    outputs: [drv_" + tag +
+                     "]\n"
+                     "  - mod: kernel_driver\n"
+                     "    uuid: drv_" + tag + "\n");
+  }
+
+  // {hits, misses} of the cache MountCache(tag) mounted.
+  std::pair<uint64_t, uint64_t> Counts(const std::string& tag) {
+    auto mod = registry_.Find("cache_" + tag);
+    EXPECT_TRUE(mod.ok());
+    if (!mod.ok()) return {0, 0};
+    if (const auto* lru = dynamic_cast<LruCacheMod*>(*mod); lru != nullptr) {
+      return {lru->hits(), lru->misses()};
+    }
+    const auto* adaptive = dynamic_cast<AdaptiveCacheMod*>(*mod);
+    EXPECT_NE(adaptive, nullptr);
+    if (adaptive == nullptr) return {0, 0};
+    return {adaptive->hits(), adaptive->misses()};
+  }
+};
+
+// A sub-page write to a page the cache does not hold goes to the
+// device only; a later full-page read misses and returns the device's
+// bytes.
+TEST_P(CacheSubPageTest, WriteKeepsDeviceBytes) {
+  core::Stack* stack = MountCache("sw");
   ASSERT_TRUE(device_->WriteNow(0, std::vector<uint8_t>(4096, 0x77)).ok());
   std::vector<uint8_t> small(10, 0x11);
   ipc::Request req;
@@ -413,11 +442,7 @@ TEST_F(ModStackTest, LruCacheSubPageWriteKeepsDeviceBytes) {
     ASSERT_TRUE(Run(stack, req, &read_trace).ok());
     EXPECT_EQ(out, want) << "pass " << pass;
   }
-  auto mod = registry_.Find("lru_sw");
-  ASSERT_TRUE(mod.ok());
-  auto* lru = dynamic_cast<LruCacheMod*>(*mod);
-  EXPECT_EQ(lru->misses(), 1u);
-  EXPECT_EQ(lru->hits(), 1u);
+  EXPECT_EQ(Counts("sw"), std::make_pair(uint64_t{1}, uint64_t{1}));
 
   // Once resident, a sub-page write updates the page in place.
   req.op = ipc::OpCode::kBlkWrite;
@@ -435,20 +460,13 @@ TEST_F(ModStackTest, LruCacheSubPageWriteKeepsDeviceBytes) {
   core::ExecTrace trace3;
   ASSERT_TRUE(Run(stack, req, &trace3).ok());
   EXPECT_EQ(out, want);
-  EXPECT_EQ(lru->hits(), 2u);
+  EXPECT_EQ(Counts("sw").first, 2u);
 }
 
 // A sub-page read miss fills nothing: the device returned only the
 // bytes asked for.
-TEST_F(ModStackTest, LruCacheSubPageReadMissKeepsDeviceBytes) {
-  core::Stack* stack = MountYaml(
-      "mount: blk::/cache_sr\n"
-      "dag:\n"
-      "  - mod: lru_cache\n"
-      "    uuid: lru_sr\n"
-      "    outputs: [drv_sr]\n"
-      "  - mod: kernel_driver\n"
-      "    uuid: drv_sr\n");
+TEST_P(CacheSubPageTest, ReadMissKeepsDeviceBytes) {
+  core::Stack* stack = MountCache("sr");
   const std::vector<uint8_t> data(4096, 0x77);
   ASSERT_TRUE(device_->WriteNow(0, data).ok());
   std::vector<uint8_t> small(100, 0);
@@ -469,6 +487,13 @@ TEST_F(ModStackTest, LruCacheSubPageReadMissKeepsDeviceBytes) {
   ASSERT_TRUE(Run(stack, req, &trace2).ok());
   EXPECT_EQ(out, data);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothCaches, CacheSubPageTest,
+    ::testing::Values(std::string("lru_cache"), std::string("adaptive_cache")),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      return param_info.param;
+    });
 
 // End to end through GenericFs: a page evicted from a one-page cache,
 // then written in part, still reads back its other bytes.

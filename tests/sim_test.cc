@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -260,6 +263,56 @@ TEST(SimTest, UnfinishedRootsDestroyedSafely) {
     // env destructor must clean up the suspended coroutine.
   }
   EXPECT_TRUE(log.empty());
+}
+
+Task<int> Echo(Environment& env, int v) {
+  co_await env.Delay(1);
+  co_return v;
+}
+
+Task<void> SumEchoes(Environment& env, int n, int* sum) {
+  for (int i = 0; i < n; ++i) *sum += co_await Echo(env, i);
+}
+
+// Frames are cached per thread, by whichever thread frees them. Two
+// threads each run an Environment at once, and the second destroys a
+// Task the first created, caches its frame and reuses it.
+TEST(FramePoolTest, EnvironmentsOnTwoThreadsAndACrossThreadDestroy) {
+  std::mutex mu;
+  std::condition_variable cv;
+  Task<int> handoff;  // guarded by mu until `ready`
+  bool ready = false;
+  int sums[3] = {0, 0, 0};
+  std::thread first([&] {
+    Environment env;
+    Task<int> unstarted = Echo(env, 1);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      handoff = std::move(unstarted);
+      ready = true;
+    }
+    cv.notify_one();
+    env.Spawn(SumEchoes(env, 1000, &sums[0]));
+    env.Run();
+  });
+  std::thread second([&] {
+    Environment env;
+    env.Spawn(SumEchoes(env, 1000, &sums[1]));
+    env.Run();
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return ready; });
+      Task<int> taken = std::move(handoff);
+    }
+    env.Spawn(SumEchoes(env, 1000, &sums[2]));
+    env.Run();
+  });
+  first.join();
+  second.join();
+  EXPECT_EQ(sums[0], 499500);
+  EXPECT_EQ(sums[1], 499500);
+  EXPECT_EQ(sums[2], 499500);
+  EXPECT_FALSE(handoff.valid());
 }
 
 TEST(CostModelTest, CopyCostScalesLinearly) {
